@@ -11,7 +11,7 @@ probability e^{-mu}) is inconclusive.
 
 import math
 
-from cohsim import Matching, Seed, alice_state, bob_unitary, run_experiment, run_trial
+from cohsim import Matching, Seed, bob_unitary, phase_encoded_state, run_experiment
 
 matching = Matching.parse("1-6,2-5,3-4")
 x = "010101"
@@ -21,22 +21,12 @@ alpha = math.sqrt(mu)
 print(f"instance: x = {x}, matching = {matching.format()}, mu = {mu}")
 print()
 
-out = bob_unitary(matching).matrix @ alice_state(x, alpha).mode_amplitudes
+out = bob_unitary(matching).matrix @ phase_encoded_state(x, alpha).mode_amplitudes
 print("output amplitudes after Bob's beam splitters (ports: +1-6, -1-6, +2-5, ...):")
 print(" ", [round(float(a.real), 3) for a in out])
 print("dark ports are exact zeros, so a click can never announce a wrong parity")
 print()
 
-print("a few individual trials:")
-for k in range(5):
-    r = run_trial(x, matching, alpha, Seed(30, k))
-    if r.conclusive:
-        i, j = r.pair
-        print(f"  trial {k}: pair ({i},{j}) parity {r.parity_bit}"
-              f"  [true: {int(x[i - 1]) ^ int(x[j - 1])}]")
-    else:
-        print(f"  trial {k}: inconclusive (no clicks)")
-print()
 
 stats = run_experiment(6, matching, x, alpha, 100_000, Seed(31))
 print(f"100000 trials: correct = {stats.conclusive_correct},"

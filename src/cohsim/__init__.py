@@ -24,6 +24,7 @@ from .core import (
 from .mapping import (
     DimensionBound,
     ModeCoherentState,
+    beam_splitter,
     effective_dimension_bound,
     map_state,
     map_unitary_apply,
@@ -62,15 +63,12 @@ from .commx import (
     two_block_trial_generator,
 )
 from .hidden_matching import (
-    HMResult,
     Matching,
     TrialStats,
-    alice_state,
     bob_unitary,
     output_port_labels,
     random_matching,
     run_experiment,
-    run_trial,
 )
 from .qds import (
     EqualityTestReport,
@@ -84,7 +82,6 @@ from .qds import (
     equality_test,
     keygen,
     run_qds,
-    signature_state,
     split,
     usd_measure,
     verify_message,
@@ -96,7 +93,8 @@ __all__ = [
     "DimensionMismatchError", "PureState", "Seed", "UnitaryOp",
     "apply_unitary", "basis_state", "inner_product", "normalized",
     "random_state", "random_unitary", "uniform_state",
-    "DimensionBound", "ModeCoherentState", "effective_dimension_bound",
+    "DimensionBound", "ModeCoherentState", "beam_splitter",
+    "effective_dimension_bound",
     "map_state", "map_unitary_apply", "overlap_coherent", "parse_bits",
     "phase_encoded_state", "poisson_tail_bound", "solve_alpha_for_overlap",
     "transmitted_info",
@@ -109,10 +107,10 @@ __all__ = [
     "click_count_stats", "click_counts", "decide",
     "estimate_success_probability", "leading_block_partition",
     "lecam_bound_check", "poisson_binomial_exact", "two_block_trial_generator",
-    "HMResult", "Matching", "TrialStats", "alice_state", "bob_unitary",
-    "output_port_labels", "random_matching", "run_experiment", "run_trial",
+    "Matching", "TrialStats", "bob_unitary", "output_port_labels",
+    "random_matching", "run_experiment",
     "EqualityTestReport", "PrivateKeys", "QdsConfig", "QdsTranscript",
     "UsdOutcome", "UsdRecord", "VerificationRole", "VerificationVerdict",
-    "equality_test", "keygen", "run_qds", "signature_state", "split",
+    "equality_test", "keygen", "run_qds", "split",
     "usd_measure", "verify_message",
 ]

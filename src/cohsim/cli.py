@@ -61,24 +61,23 @@ def _emit(args, command: str, params: dict, columns: list[str], rows: list[list]
         sys.stdout.write(text)
 
 
-def _parse_floats(text: str, name: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind=float) -> list:
+    """Comma list of numbers of one kind; empty, malformed or non-finite lists fail."""
     try:
-        values = [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [kind(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
-        raise ValueError(f"bad {name} list {text!r}: {exc}") from exc
+        raise ValueError(f"bad {flag} list {text!r}: {exc}") from exc
     if not values:
-        raise ValueError(f"{name} list is empty")
+        raise ValueError(f"{flag} list is empty")
+    if kind is float and not all(map(math.isfinite, values)):
+        raise ValueError(f"{flag} values must be finite, got {text!r}")
     return values
 
 
-def _parse_ints(text: str, name: str) -> list[int]:
-    try:
-        values = [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise ValueError(f"bad {name} list {text!r}: {exc}") from exc
-    if not values:
-        raise ValueError(f"{name} list is empty")
-    return values
+def _check_non_negative(value: float, flag: str) -> float:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{flag} must be finite and non-negative, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +86,13 @@ def _parse_ints(text: str, name: str) -> list[int]:
 
 
 def _cmd_overlap_sweep(args):
-    mus = _parse_floats(args.mu, "mu")
-    deltas = _parse_floats(args.delta, "delta")
+    mus = _parse_list(args.mu, "--mu")
+    deltas = _parse_list(args.delta, "--delta")
     if any(not 0.0 <= d <= 1.0 for d in deltas):
         raise ValueError("delta grid values must lie in [0, 1]")
     rows = []
     for mu in mus:
-        if mu < 0.0:
-            raise ValueError("mu must be non-negative")
-        alpha = math.sqrt(mu)
+        alpha = math.sqrt(_check_non_negative(mu, "--mu"))
         for delta in deltas:
             rows.append([mu, delta, mapping.overlap_coherent(delta, alpha).real])
     params = {"mu": args.mu, "delta": args.delta}
@@ -103,11 +100,13 @@ def _cmd_overlap_sweep(args):
 
 
 def _cmd_dim_bound(args):
-    dims = _parse_ints(args.d, "d")
+    dims = _parse_list(args.d, "--d", int)
+    mu = _check_non_negative(args.mu, "--mu")
     rows = []
     for d in dims:
-        bound = mapping.effective_dimension_bound(args.mu, args.delta, d)
-        ratio = bound.log2_d_alpha_upper / math.log2(d) if d > 1 else float("inf")
+        bound = mapping.effective_dimension_bound(mu, args.delta, d)
+        # log2 d = 0 at d = 1 leaves the ratio undefined: a blank cell.
+        ratio = bound.log2_d_alpha_upper / math.log2(d) if d > 1 else ""
         rows.append(
             [
                 d,
@@ -142,7 +141,7 @@ def _cmd_hidden_matching(args):
         n=n,
         matching=matching,
         x=x,
-        alpha=math.sqrt(args.alpha_sq),
+        alpha=math.sqrt(_check_non_negative(args.alpha_sq, "--alpha-sq")),
         trials=args.trials,
         seed=Seed(args.seed),
     )

@@ -24,7 +24,6 @@ from enum import Enum
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.stats import poisson
 
 from .core import Seed
 from .detection import ClickPattern, click_probabilities
@@ -107,18 +106,21 @@ class ClickCountStats:
         return self.tau0 + self.tau1
 
 
-def click_count_stats(c: ModeCoherentState, partition: OutcomePartition) -> ClickCountStats:
-    if partition.max_label > c.dim:
-        raise ValueError("state does not cover all partition mode labels")
-    probs = click_probabilities(c)
+def _count_stats(click_probs: np.ndarray, partition: OutcomePartition) -> ClickCountStats:
     i0, i1 = partition.indices()
-    p0, p1 = probs[i0], probs[i1]
+    p0, p1 = click_probs[i0], click_probs[i1]
     return ClickCountStats(
         mu0=float(p0.sum()),
         mu1=float(p1.sum()),
         tau0=float((p0**2).sum()),
         tau1=float((p1**2).sum()),
     )
+
+
+def click_count_stats(c: ModeCoherentState, partition: OutcomePartition) -> ClickCountStats:
+    if partition.max_label > c.dim:
+        raise ValueError("state does not cover all partition mode labels")
+    return _count_stats(click_probabilities(c), partition)
 
 
 def poisson_binomial_exact(probs) -> np.ndarray:
@@ -155,6 +157,16 @@ def _min_one_inverse(mu: float) -> float:
     return 1.0 if mu <= 1.0 else 1.0 / mu
 
 
+def _poisson_pmf(a: int, mu: float) -> float:
+    """Pr(L = a) for L ~ Poisson(mu), as exp(-mu + a ln mu - lgamma(a + 1)).
+
+    Poisson(0) is the point mass at 0, handled apart because ln 0 diverges.
+    """
+    if mu == 0.0:
+        return 1.0 if a == 0 else 0.0
+    return math.exp(-mu + a * math.log(mu) - math.lgamma(a + 1))
+
+
 def lecam_bound_check(probs, event: Iterable[int]) -> LecamCheck:
     """Check |Pr(C in A) - Pr(L in A)| <= min(1, 1/mu) * tau on an explicit event.
 
@@ -170,7 +182,7 @@ def lecam_bound_check(probs, event: Iterable[int]) -> LecamCheck:
     mu = float(probs.sum())
     tau = float((probs**2).sum())
     pr_c = float(sum(pmf[a] for a in event_set if a < pmf.size))
-    pr_l = float(sum(poisson.pmf(a, mu) for a in event_set)) if event_set else 0.0
+    pr_l = sum(_poisson_pmf(a, mu) for a in event_set)
     lhs = abs(pr_c - pr_l)
     bound = _min_one_inverse(mu) * tau
     return LecamCheck(lhs=lhs, bound=bound, holds=bool(lhs <= bound + 1e-12))
@@ -246,21 +258,13 @@ def check_success_condition(
         raise ValueError("probs_qubit must be non-negative and sum to 1")
     if partition.max_label > probs_qubit.size:
         raise ValueError("probs_qubit does not cover all partition mode labels")
-    i0, i1 = partition.indices()
-    mass0 = float(probs_qubit[i0].sum())
+    mass0 = float(probs_qubit[partition.indices()[0]].sum())
     if abs(mass0 - p_s) > 1e-9:
         raise ValueError(
             f"p_s = {p_s!r} must equal the S_0 probability mass {mass0!r}"
         )
 
-    click_probs = -np.expm1(-mu * probs_qubit)
-    p0, p1 = click_probs[i0], click_probs[i1]
-    stats = ClickCountStats(
-        mu0=float(p0.sum()),
-        mu1=float(p1.sum()),
-        tau0=float((p0**2).sum()),
-        tau1=float((p1**2).sum()),
-    )
+    stats = _count_stats(-np.expm1(-mu * probs_qubit), partition)
     approx_term = max(_min_one_inverse(stats.mu0), _min_one_inverse(stats.mu1)) * stats.tau
     lhs = _concentration_term(p_s, mu) + approx_term
     return SuccessConditionReport(

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Seed, UnitaryOp
-from .detection import ClickPattern, sample_click_pattern
-from .mapping import ModeCoherentState, parse_bits, phase_encoded_state
+from .detection import sample_click_pattern
+from .mapping import ModeCoherentState, beam_splitter, parse_bits, phase_encoded_state
 
 
 @dataclass(frozen=True)
@@ -77,51 +77,28 @@ def random_matching(n: int, rng: np.random.Generator) -> Matching:
     return Matching(pairs)
 
 
-@dataclass(frozen=True, eq=False)
-class HMResult:
-    """Outcome of one protocol trial.
+def _ports(m: Matching, amps) -> np.ndarray:
+    """Bob's network along the leading axis of ``amps``, one beam splitter per pair.
 
-    Conclusive results carry the identified pair and its parity bit; a trial
-    with no click anywhere is inconclusive.
+    Ports are in :func:`bob_unitary` order.  On a mode-amplitude vector this
+    is O(n), and the wrong-parity port of every pair comes out exactly 0.0.
     """
-
-    conclusive: bool
-    pair: tuple[int, int] | None
-    parity_bit: int | None
-    raw_pattern: ClickPattern
-
-    def __post_init__(self) -> None:
-        if self.conclusive:
-            if self.pair is None or self.parity_bit not in (0, 1):
-                raise ValueError("conclusive result needs a pair and a parity bit")
-            if not self.raw_pattern.any_click:
-                raise ValueError("conclusive result requires at least one click")
-
-
-def alice_state(x, alpha: complex) -> ModeCoherentState:
-    """Alice's encoding: mode i carries (-1)^{x_i} * alpha / sqrt(n)."""
-    bits = parse_bits(x)
-    if bits.size < 2:
-        raise ValueError("input string must have at least 2 bits")
-    return phase_encoded_state(bits, alpha)
+    amps = np.asarray(amps)
+    i, j = (np.asarray(m.pairs) - 1).T
+    out = np.empty(amps.shape, dtype=np.complex128)
+    out[0::2], out[1::2] = beam_splitter(amps[i], amps[j])
+    return out
 
 
 def bob_unitary(m: Matching) -> UnitaryOp:
-    """Beam-splitter network for a matching: pairwise balanced interference.
+    """Bob's beam-splitter network as a checked dense n x n unitary.
 
-    For pair index t (1-based, pairs in canonical order) with labels (i, j),
-    i < j, output port 2t-1 carries (a_i + a_j)/sqrt(2) and port 2t carries
-    (a_i - a_j)/sqrt(2).
+    Port 2t-1 carries (a_i + a_j)/sqrt(2) and port 2t carries
+    (a_i - a_j)/sqrt(2) for the t-th pair (i, j) in canonical order.  The
+    protocol applies the same network pairwise in O(n) (:func:`run_experiment`);
+    the matrix is for inspection and for composing with other unitaries.
     """
-    n = m.n
-    mat = np.zeros((n, n), dtype=np.complex128)
-    r = 1.0 / math.sqrt(2.0)
-    for t, (i, j) in enumerate(m.pairs):
-        mat[2 * t, i - 1] = r
-        mat[2 * t, j - 1] = r
-        mat[2 * t + 1, i - 1] = r
-        mat[2 * t + 1, j - 1] = -r
-    return UnitaryOp(mat)
+    return UnitaryOp(_ports(m, np.eye(m.n)))
 
 
 def output_port_labels(m: Matching) -> tuple[tuple[tuple[int, int], int], ...]:
@@ -135,25 +112,6 @@ def output_port_labels(m: Matching) -> tuple[tuple[tuple[int, int], int], ...]:
         labels.append((pair, 0))
         labels.append((pair, 1))
     return tuple(labels)
-
-
-def run_trial(x, m: Matching, alpha: complex, seed: Seed) -> HMResult:
-    """One protocol round: encode, interfere, threshold-detect, interpret.
-
-    When several ports click, the lowest port index is reported; every
-    clicking port corresponds to a correct (pair, parity) answer because the
-    wrong-parity port of each pair has exactly zero amplitude.
-    """
-    state = alice_state(x, alpha)
-    if state.dim != m.n:
-        raise ValueError(f"input has {state.dim} bits but matching covers {m.n} modes")
-    out = ModeCoherentState(bob_unitary(m).matrix @ state.mode_amplitudes, state.alpha)
-    pattern = sample_click_pattern(out, seed)
-    if not pattern.any_click:
-        return HMResult(False, None, None, pattern)
-    port = int(np.argmax(pattern.clicks))
-    pair, parity = output_port_labels(m)[port]
-    return HMResult(True, pair, parity, pattern)
 
 
 @dataclass(frozen=True)
@@ -212,8 +170,8 @@ def run_experiment(
         if bits.size != n:
             raise ValueError(f"input string has {bits.size} bits, expected {n}")
 
-    state = alice_state(bits, alpha)
-    out = ModeCoherentState(bob_unitary(matching).matrix @ state.mode_amplitudes, state.alpha)
+    state = phase_encoded_state(bits, alpha)
+    out = ModeCoherentState(_ports(matching, state.mode_amplitudes), state.alpha)
     labels = output_port_labels(matching)
     truth = {pair: int(bits[pair[0] - 1] ^ bits[pair[1] - 1]) for pair in matching.pairs}
 

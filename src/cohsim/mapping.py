@@ -32,6 +32,9 @@ from .core import PureState, UnitaryOp, _check_same_dim
 # Mode power must reproduce |alpha|^2 to this absolute tolerance.
 MODE_POWER_TOL = 1e-9
 
+# Amplitude transmission of a balanced beam splitter.
+_BALANCED = 1.0 / math.sqrt(2.0)
+
 
 @dataclass(frozen=True, eq=False)
 class ModeCoherentState:
@@ -91,6 +94,16 @@ def map_unitary_apply(u: UnitaryOp, c: ModeCoherentState) -> ModeCoherentState:
     """
     _check_same_dim(u.dim, c.dim, "operator and coherent state")
     return ModeCoherentState(u.matrix @ c.mode_amplitudes, c.alpha)
+
+
+def beam_splitter(u, w):
+    """Balanced beam splitter: inputs u, w leave as ((u + w)/sqrt(2), (u - w)/sqrt(2)).
+
+    Acts elementwise on amplitude arrays (or scalars) of any broadcastable
+    shape, so one call interferes many mode pairs at once.  Equal inputs put
+    exactly zero amplitude on the difference port.
+    """
+    return (u + w) * _BALANCED, (u - w) * _BALANCED
 
 
 def parse_bits(bits) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import Any
 import numpy as np
 
 from .core import Seed
-from .mapping import ModeCoherentState, parse_bits, phase_encoded_state
+from .mapping import ModeCoherentState, beam_splitter, parse_bits, phase_encoded_state
 
 TAMPER_MODELS = ("none", "flip_revealed", "repudiation")
 
@@ -74,20 +74,14 @@ def keygen(n: int, seed: Seed) -> PrivateKeys:
     )
 
 
-def signature_state(k, alpha: complex) -> ModeCoherentState:
-    """Phase-encoded key state: mode i carries (-1)^{k_i} * alpha / sqrt(n)."""
-    return phase_encoded_state(k, alpha)
-
-
 def split(c: ModeCoherentState) -> tuple[ModeCoherentState, ModeCoherentState]:
     """Balanced beam splitter against vacuum in every mode: two copies at 1/sqrt(2).
 
     Each copy carries half the mean photon number, so energy is conserved.
     """
-    r = 1.0 / math.sqrt(2.0)
-    amps = c.mode_amplitudes * r
-    alpha = c.alpha * r
-    return ModeCoherentState(amps, alpha), ModeCoherentState(amps, alpha)
+    kept, shared = beam_splitter(c.mode_amplitudes, 0.0)
+    alpha, _ = beam_splitter(c.alpha, 0.0)
+    return ModeCoherentState(kept, alpha), ModeCoherentState(shared, alpha)
 
 
 class UsdOutcome(IntEnum):
@@ -196,9 +190,7 @@ def equality_test(
         raise ValueError("states must have the same number of modes")
     if not 0.0 < float(f) < 1.0:
         raise ValueError("abort fraction f must lie in (0, 1)")
-    r = 1.0 / math.sqrt(2.0)
-    eq_amps = (b.mode_amplitudes + c.mode_amplitudes) * r
-    neq_amps = (b.mode_amplitudes - c.mode_amplitudes) * r
+    eq_amps, neq_amps = beam_splitter(b.mode_amplitudes, c.mode_amplitudes)
     p_eq = -np.expm1(-np.abs(eq_amps) ** 2)
     p_neq = -np.expm1(-np.abs(neq_amps) ** 2)
     rng = seed.rng()
@@ -369,8 +361,8 @@ def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
         if repudiation_masks[b] is not None:
             charlie_key = bob_key ^ repudiation_masks[b]
         received = {
-            "bob": signature_state(bob_key, alpha),
-            "charlie": signature_state(charlie_key, alpha),
+            "bob": phase_encoded_state(bob_key, alpha),
+            "charlie": phase_encoded_state(charlie_key, alpha),
         }
         for r, (who, state) in enumerate(received.items()):
             kept, shared = split(state)

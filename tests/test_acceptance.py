@@ -16,7 +16,6 @@ from cohsim import (
     Matching,
     QdsConfig,
     Seed,
-    alice_state,
     bob_unitary,
     check_success_condition,
     effective_dimension_bound,
@@ -27,6 +26,7 @@ from cohsim import (
     multinomial_oracle,
     output_port_labels,
     overlap_coherent,
+    phase_encoded_state,
     photon_count_probability,
     poisson_binomial_exact,
     poisson_tail_bound,
@@ -242,7 +242,7 @@ def test_criterion_6_hidden_matching():
             labels = output_port_labels(m)
             for bits in itertools.product((0, 1), repeat=n):
                 x = "".join(map(str, bits))
-                out = u @ alice_state(x, alpha).mode_amplitudes
+                out = u @ phase_encoded_state(x, alpha).mode_amplitudes
                 for port in np.flatnonzero(np.abs(out) > 1e-12):
                     pair, parity = labels[port]
                     assert parity == bits[pair[0] - 1] ^ bits[pair[1] - 1]

@@ -2,11 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import cohsim
 from cohsim import cli
 
 
@@ -54,6 +59,50 @@ def test_dim_bound_ratio_column(capsys):
     assert header[0] == "d"
     ratios = [float(r[4]) for r in rows]
     assert all(r < 6.5 for r in ratios)
+
+
+def test_dim_bound_json_is_strict_at_d_one(capsys):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    code, out, _ = run_cli(capsys, "dim-bound", "--d", "1,2", "--format", "json")
+    assert code == 0
+    doc = json.loads(out, parse_constant=reject)
+    jsonschema.validate(doc, load_schema())
+    ratio = doc["columns"].index("ratio_vs_log2_d")
+    assert doc["rows"][0][ratio] == ""
+    assert isinstance(doc["rows"][1][ratio], float)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("overlap-sweep", "--mu", "nan"), "--mu"),
+        (("overlap-sweep", "--mu", "1,inf"), "--mu"),
+        (("overlap-sweep", "--mu", "-1"), "--mu"),
+        (("overlap-sweep", "--delta", "0.5,nan"), "--delta"),
+        (("dim-bound", "--d", "4,x"), "--d"),
+        (("dim-bound", "--mu", "inf"), "--mu"),
+        (("hidden-matching", "--n", "4", "--alpha-sq", "nan", "--seed", "1"), "--alpha-sq"),
+        (("hidden-matching", "--n", "4", "--alpha-sq", "inf", "--seed", "1"), "--alpha-sq"),
+        (("hidden-matching", "--n", "4", "--alpha-sq", "-1", "--seed", "1"), "--alpha-sq"),
+    ],
+)
+def test_invalid_numbers_are_validation_errors_naming_the_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert flag in err
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(cohsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = "import sys, cohsim.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_json_output_validates_against_shipped_schema(capsys, tmp_path):

@@ -21,6 +21,7 @@ from cohsim import (
     two_block_trial_generator,
     uniform_state,
 )
+from cohsim.commx import _poisson_pmf
 from cohsim.mapping import ModeCoherentState
 
 PART_2_2 = OutcomePartition(frozenset({1, 2}), frozenset({3, 4}))
@@ -126,6 +127,16 @@ def test_lecam_bound_zero_probabilities():
     assert check.lhs == 0.0
     assert check.bound == 0.0
     assert check.holds
+
+
+def test_poisson_pmf_closed_form_matches_scipy():
+    for mu in (1e-3, 0.05, 0.5, 1.0, 3.7, 12.0, 40.0):
+        for a in range(60):
+            assert _poisson_pmf(a, mu) == pytest.approx(poisson.pmf(a, mu), rel=1e-12)
+    # Poisson(0) is the point mass at 0
+    assert _poisson_pmf(0, 0.0) == 1.0
+    assert _poisson_pmf(3, 0.0) == 0.0
+    assert lecam_bound_check([0.0, 0.0], {0}).lhs == 0.0
 
 
 def test_lecam_bound_event_beyond_support():

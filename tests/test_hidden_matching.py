@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
+import cohsim.hidden_matching as hm
 from cohsim import (
     Matching,
     Seed,
-    alice_state,
     bob_unitary,
     output_port_labels,
+    phase_encoded_state,
     random_matching,
     run_experiment,
-    run_trial,
     transmitted_info,
 )
 
@@ -62,18 +62,18 @@ def test_random_matching_is_valid_and_seeded():
 
 
 def test_alice_state_all_zeros():
-    c = alice_state("000000", math.sqrt(6.0))
+    c = phase_encoded_state("000000", math.sqrt(6.0))
     np.testing.assert_allclose(c.mode_amplitudes, np.ones(6), atol=1e-12)
 
 
 def test_alice_state_all_ones_is_global_sign_flip():
-    plus = alice_state("000000", math.sqrt(6.0))
-    minus = alice_state("111111", math.sqrt(6.0))
+    plus = phase_encoded_state("000000", math.sqrt(6.0))
+    minus = phase_encoded_state("111111", math.sqrt(6.0))
     np.testing.assert_allclose(minus.mode_amplitudes, -plus.mode_amplitudes, atol=1e-12)
 
 
 def test_alice_state_alternating():
-    c = alice_state("010101", math.sqrt(6.0))
+    c = phase_encoded_state("010101", math.sqrt(6.0))
     np.testing.assert_allclose(c.mode_amplitudes, [1, -1, 1, -1, 1, -1], atol=1e-12)
 
 
@@ -101,8 +101,14 @@ def test_port_labels_cover_pairs_in_order():
     )
 
 
-def output_amplitudes(x: str, m: Matching, alpha: float) -> np.ndarray:
-    return bob_unitary(m).matrix @ alice_state(x, alpha).mode_amplitudes
+def test_bob_unitary_is_the_pairwise_network():
+    m = random_matching(16, Seed(111).rng())
+    amps = Seed(112).rng().standard_normal((16, 3))
+    np.testing.assert_allclose(bob_unitary(m).matrix @ amps, hm._ports(m, amps), atol=1e-15)
+
+
+def output_amplitudes(x, m: Matching, alpha: float) -> np.ndarray:
+    return hm._ports(m, phase_encoded_state(x, alpha).mode_amplitudes)
 
 
 def test_output_amplitude_formula_per_pair():
@@ -135,16 +141,25 @@ def test_dark_port_amplitude_is_exactly_zero():
             assert out[port] == 0.0
 
 
+def test_wide_network_leaves_wrong_parity_ports_exactly_dark():
+    rng = Seed(113).rng()
+    n = 2048
+    m = random_matching(n, rng)
+    bits = rng.integers(0, 2, n).astype(np.uint8)
+    out = output_amplitudes(bits, m, math.sqrt(3.0))
+    for port, (pair, parity) in enumerate(output_port_labels(m)):
+        if parity != bits[pair[0] - 1] ^ bits[pair[1] - 1]:
+            assert out[port] == 0.0
+
+
 def test_exhaustive_small_sizes_only_correct_ports_lit():
     for n in (2, 4, 6):
         alpha = math.sqrt(2.5)
         for m_pairs in all_matchings(tuple(range(1, n + 1))):
             m = Matching(m_pairs)
-            u = bob_unitary(m).matrix
             labels = output_port_labels(m)
             for bits in itertools.product((0, 1), repeat=n):
-                x = "".join(map(str, bits))
-                out = u @ alice_state(x, alpha).mode_amplitudes
+                out = output_amplitudes(np.array(bits), m, alpha)
                 for port, (pair, parity) in enumerate(labels):
                     truth = bits[pair[0] - 1] ^ bits[pair[1] - 1]
                     if parity != truth:
@@ -166,31 +181,33 @@ def test_no_click_probability_closed_form():
 
     for x, mu in (("0110", 2.0), ("010101", 3.0)):
         m = Matching(((1, 2), (3, 4))) if len(x) == 4 else FIG_MATCHING
-        out = map_unitary_apply(bob_unitary(m), alice_state(x, math.sqrt(mu)))
+        out = map_unitary_apply(bob_unitary(m), phase_encoded_state(x, math.sqrt(mu)))
         p_dark = np.prod(1.0 - click_probabilities(out))
         assert p_dark == pytest.approx(math.exp(-mu), rel=1e-12)
 
 
-def test_run_trial_zero_amplitude_always_inconclusive():
-    for k in range(20):
-        result = run_trial("0101", Matching(((1, 2), (3, 4))), 0.0, Seed(102, k))
-        assert not result.conclusive
-        assert result.pair is None
+def test_run_experiment_zero_amplitude_always_inconclusive():
+    stats = run_experiment(4, Matching(((1, 2), (3, 4))), "0101", 0.0, 20, Seed(102))
+    assert stats.inconclusive == 20
+    assert stats.conclusive_correct == stats.conclusive_wrong == 0
 
 
-def test_run_trial_conclusive_answers_are_correct():
-    x = "011010"
-    bits = [int(b) for b in x]
-    for k in range(300):
-        result = run_trial(x, FIG_MATCHING, math.sqrt(3.0), Seed(103, k))
-        if result.conclusive:
-            i, j = result.pair
-            assert result.parity_bit == bits[i - 1] ^ bits[j - 1]
+def test_run_experiment_conclusive_answers_are_correct():
+    stats = run_experiment(6, FIG_MATCHING, "011010", math.sqrt(3.0), 300, Seed(103))
+    assert stats.conclusive_wrong == 0
+    assert stats.conclusive_correct > 0
+    assert stats.conclusive_correct + stats.inconclusive == 300
 
 
-def test_run_trial_input_length_must_match():
-    with pytest.raises(ValueError):
-        run_trial("01", FIG_MATCHING, 1.0, Seed(104))
+def test_run_experiment_builds_no_dense_network(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("run_experiment built an n x n network")
+
+    monkeypatch.setattr(hm, "bob_unitary", dense)
+    monkeypatch.setattr(hm, "UnitaryOp", dense)
+    stats = run_experiment(4096, None, None, math.sqrt(3.0), 3, Seed(104))
+    assert stats.trials == 3
+    assert stats.conclusive_wrong == 0
 
 
 def test_run_experiment_reference_instance():
@@ -226,6 +243,8 @@ def test_run_experiment_validates_inputs():
         run_experiment(4, FIG_MATCHING, None, 1.0, 100, Seed(109))
     with pytest.raises(ValueError):
         run_experiment(6, FIG_MATCHING, "0101", 1.0, 100, Seed(109))
+    with pytest.raises(ValueError):
+        run_experiment(6, FIG_MATCHING, "01", 1.0, 100, Seed(109))
     with pytest.raises(ValueError):
         run_experiment(6, FIG_MATCHING, "010101", 1.0, 0, Seed(109))
 

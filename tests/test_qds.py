@@ -13,8 +13,8 @@ from cohsim import (
     VerificationRole,
     equality_test,
     keygen,
+    phase_encoded_state,
     run_qds,
-    signature_state,
     split,
     usd_measure,
     verify_message,
@@ -44,25 +44,25 @@ def test_independent_keys_disagree_on_half_the_bits():
 
 
 def test_signature_state_all_zero_key():
-    c = signature_state(np.zeros(4, dtype=np.uint8), 2.0)
+    c = phase_encoded_state(np.zeros(4, dtype=np.uint8), 2.0)
     np.testing.assert_allclose(c.mode_amplitudes, np.full(4, 1.0), atol=1e-12)
 
 
 def test_signature_state_flip_locality():
-    base = signature_state("0000", 1.0)
-    flipped = signature_state("0100", 1.0)
+    base = phase_encoded_state("0000", 1.0)
+    flipped = phase_encoded_state("0100", 1.0)
     diff = flipped.mode_amplitudes - base.mode_amplitudes
     assert np.count_nonzero(np.abs(diff) > 1e-15) == 1
 
 
 def test_signature_state_power_is_key_independent():
     for key in ("0000", "1111", "0110"):
-        c = signature_state(key, 1.7)
+        c = phase_encoded_state(key, 1.7)
         assert c.mean_photon_number == pytest.approx(1.7**2, abs=1e-12)
 
 
 def test_split_halves_amplitudes_and_conserves_energy():
-    c = signature_state("0101", 2.0)
+    c = phase_encoded_state("0101", 2.0)
     a, b = split(c)
     np.testing.assert_allclose(a.mode_amplitudes, c.mode_amplitudes / math.sqrt(2))
     np.testing.assert_allclose(b.mode_amplitudes, a.mode_amplitudes)
@@ -153,7 +153,7 @@ def test_usd_record_validation():
 
 
 def test_equality_test_identical_states_never_abort():
-    c = signature_state("010011", 3.0)
+    c = phase_encoded_state("010011", 3.0)
     a, b = split(c)
     for k in range(50):
         report = equality_test(a, b, 0.01, Seed(133, k))
@@ -182,8 +182,8 @@ def test_equality_test_opposite_keys_expected_neq_clicks():
     # per-mode power is 0.1 and the NEQ click probability is 1 - e^{-0.2}
     n, alpha_sq = 100, 20.0
     alpha = math.sqrt(alpha_sq)
-    sa = split(signature_state("0" * n, alpha))[0]
-    sb = split(signature_state("1" * n, alpha))[0]
+    sa = split(phase_encoded_state("0" * n, alpha))[0]
+    sb = split(phase_encoded_state("1" * n, alpha))[0]
     runs = 400
     clicks = 0
     for k in range(runs):
@@ -196,7 +196,7 @@ def test_equality_test_opposite_keys_expected_neq_clicks():
 
 
 def test_equality_test_validates_fraction():
-    c = signature_state("01", 1.0)
+    c = phase_encoded_state("01", 1.0)
     with pytest.raises(ValueError):
         equality_test(c, c, 0.0, Seed(136))
     with pytest.raises(ValueError):
