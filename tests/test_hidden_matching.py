@@ -244,9 +244,12 @@ def test_run_experiment_validates_inputs():
     with pytest.raises(ValueError):
         run_experiment(6, FIG_MATCHING, "0101", 1.0, 100, Seed(109))
     with pytest.raises(ValueError):
-        run_experiment(6, FIG_MATCHING, "01", 1.0, 100, Seed(109))
-    with pytest.raises(ValueError):
         run_experiment(6, FIG_MATCHING, "010101", 1.0, 0, Seed(109))
+
+
+def test_run_experiment_input_length_must_match():
+    with pytest.raises(ValueError):
+        run_experiment(6, FIG_MATCHING, "01", 1.0, 100, Seed(109))
 
 
 def test_information_accounting_is_logarithmic():
