@@ -37,6 +37,6 @@ print()
 
 print("the failure rate is set by the photon budget alone:")
 for mu_k in (0.5, 1.0, 3.0, 5.0):
-    s = run_experiment(16, None, None, math.sqrt(mu_k), 20_000, Seed(32, int(10 * mu_k)))
+    s = run_experiment(16, None, None, math.sqrt(mu_k), 20_000, Seed(32).child(int(10 * mu_k)))
     print(f"  mu = {mu_k:>4}: inconclusive {s.inconclusive_rate:.4f}"
           f" (expected {s.inconclusive_expected:.4f}), wrong = {s.conclusive_wrong}")

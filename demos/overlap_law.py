@@ -28,8 +28,9 @@ for delta in (0.2, 0.5, 0.8):
 
 print()
 print("closed form versus the per-mode overlap product (random 32-mode pair)")
-psi = random_state(32, Seed(1))
-phi = random_state(32, Seed(2))
+rng = Seed(1).rng()
+psi = random_state(32, rng)
+phi = random_state(32, rng)
 delta = complex(np.vdot(psi.amplitudes, phi.amplitudes))
 alpha = math.sqrt(2.0)
 product = 1.0 + 0.0j

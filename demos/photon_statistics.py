@@ -29,8 +29,9 @@ print(" ", [round(float(p), 4) for p in click_probabilities(state)])
 
 trials = 20_000
 clicks = [0, 0, 0, 0]
-for t in range(trials):
-    pattern = sample_click_pattern(state, Seed(10, t))
+rng = Seed(10).rng()  # one generator per experiment, drawn from trial after trial
+for _ in range(trials):
+    pattern = sample_click_pattern(state, rng)
     for k in range(4):
         clicks[k] += int(pattern.clicks[k])
 print(f"empirical click rates over {trials} trials:")
@@ -38,7 +39,8 @@ print(" ", [round(c / trials, 4) for c in clicks])
 
 print()
 print("total photon number is Poisson(mu), whatever the state:")
-totals = Counter(sample_photon_numbers(state, Seed(11, t)).total for t in range(trials))
+rng = Seed(11).rng()
+totals = Counter(sample_photon_numbers(state, rng).total for _ in range(trials))
 print(f"{'n':>4} {'empirical':>10} {'poisson':>10}")
 for n in range(7):
     expected = math.exp(-mu) * mu**n / math.factorial(n)
@@ -46,12 +48,14 @@ for n in range(7):
 
 print()
 print("direct counts versus Poisson-many single-photon repetitions:")
+rng = Seed(12).rng()
 direct = Counter(
-    tuple(sample_photon_numbers(state, Seed(12, t)).counts.tolist()) for t in range(trials)
+    tuple(sample_photon_numbers(state, rng).counts.tolist()) for _ in range(trials)
 )
+rng = Seed(13).rng()
 repeated = Counter(
-    tuple(poissonized_repetition_oracle(psi, mu, Seed(13, t)).counts.tolist())
-    for t in range(trials)
+    tuple(poissonized_repetition_oracle(psi, mu, rng).counts.tolist())
+    for _ in range(trials)
 )
 print(f"{'record':>16} {'direct':>8} {'repeated':>9}")
 for record, _ in direct.most_common(6):

@@ -24,10 +24,10 @@ tamper = QdsConfig(
 rejections = 0
 runs = 200
 for k in range(runs):
-    t = run_qds(tamper, Seed(41, k))
+    t = run_qds(tamper, Seed(41).child(k))
     rejections += int(not t.bob_verdict.accept)
 print(f"  Bob rejected {rejections}/{runs} forged runs")
-t = run_qds(tamper, Seed(41, 0))
+t = run_qds(tamper, Seed(41).child(0))
 print(f"  sample verdict: mismatches = {t.bob_verdict.mismatches}"
       f" of {t.bob_verdict.tested} conclusive positions"
       f" (threshold fraction {t.bob_verdict.threshold})")
@@ -37,9 +37,9 @@ print("repudiation attempt (Bob's and Charlie's states differ in 20% of modes):"
 repud = QdsConfig(
     n=512, alpha_sq=36.0, tamper_model="repudiation", tamper_params={"fraction": 0.2}
 )
-aborts = sum(run_qds(repud, Seed(42, k)).aborted for k in range(runs))
+aborts = sum(run_qds(repud, Seed(42).child(k)).aborted for k in range(runs))
 print(f"  the comparison stage aborted {aborts}/{runs} runs")
-t = run_qds(repud, Seed(42, 0))
+t = run_qds(repud, Seed(42).child(0))
 eq = [r.data for r in t.records if r.stage == "equality_test"]
 for data in eq:
     print(f"  key bit {data['key_bit']}: {data['neq_clicks']} NEQ clicks"

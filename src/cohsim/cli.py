@@ -19,7 +19,7 @@ import traceback
 import numpy as np
 
 from . import commx, mapping, qds
-from .core import Seed
+from .core import Seed, _index
 from .hidden_matching import Matching, run_experiment
 
 
@@ -77,6 +77,12 @@ def _parse_list(text: str, flag: str, kind=float) -> list:
 def _check_non_negative(value: float, flag: str) -> float:
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{flag} must be finite and non-negative, got {value!r}")
+    return value
+
+
+def _check_positive(value: int, flag: str) -> int:
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
     return value
 
 
@@ -142,7 +148,7 @@ def _cmd_hidden_matching(args):
         matching=matching,
         x=x,
         alpha=math.sqrt(_check_non_negative(args.alpha_sq, "--alpha-sq")),
-        trials=args.trials,
+        trials=_check_positive(args.trials, "--trials"),
         seed=Seed(args.seed),
     )
     row = [
@@ -188,8 +194,10 @@ def _uniform_block_probs(p_s: float, d0: int, d1: int) -> np.ndarray:
 
 
 def _cmd_thm_check(args):
+    _check_positive(args.lecam_instances, "--lecam-instances")
+    _check_positive(args.trials, "--trials")
+    seed = Seed(args.seed)
     rows = []
-    rng = Seed(args.seed).rng()
 
     # Effective-dimension accounting: log2 of the bound stays proportional
     # to log2 d across a doubling sweep.
@@ -201,6 +209,7 @@ def _cmd_thm_check(args):
         )
 
     # Poisson-approximation bound on random Poisson-binomial instances.
+    rng = seed.child("lecam").rng()
     for i in range(args.lecam_instances):
         n = int(rng.integers(1, 51))
         probs = rng.uniform(0.0, 0.3, n)
@@ -226,7 +235,7 @@ def _cmd_thm_check(args):
                 d0, float(click[0]), d1, float(click[-1]) if d1 else 0.0
             )
             mc = commx.estimate_success_probability(
-                generator, partition, args.trials, Seed(args.seed, 1000 * (i + 1))
+                generator, partition, args.trials, seed.child("mc", i)
             )
             p_hat = mc.p_hat
             ci95 = mc.ci95
@@ -250,22 +259,22 @@ def _cmd_qds(args):
     if not isinstance(raw, dict):
         raise ValueError(f"config {args.config}: top level must be an object")
 
-    trials = int(raw.pop("trials", 1))
+    trials = raw.pop("trials", 1)
     seed_value = raw.pop("seed", None)
     if args.seed is not None:
         seed_value = args.seed
     if seed_value is None:
         raise ValueError(f"config {args.config}: field 'seed' is required")
-    if trials < 1:
-        raise ValueError(f"config {args.config}: 'trials' must be at least 1")
     try:
+        trials = _check_positive(_index(trials, "trials"), "trials")
+        seed = Seed(seed_value)
         config = qds.QdsConfig.from_dict(raw)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config {args.config}: {exc}") from exc
 
     rows = []
     for run in range(trials):
-        transcript = qds.run_qds(config, Seed(int(seed_value), 10_000 * run))
+        transcript = qds.run_qds(config, seed.child(run))
         for record in transcript.records:
             for key, value in record.data.items():
                 rows.append([run, record.stage, key, value])
@@ -279,7 +288,7 @@ def _cmd_qds(args):
              transcript.charlie_verdict.accept if transcript.charlie_verdict else ""]
         )
         rows.append([run, "summary", "accepted_by_both", transcript.accepted_by_both])
-    params = {"config": args.config, "trials": trials, "seed": int(seed_value)}
+    params = {"config": args.config, "trials": trials, "seed": seed_value}
     return ["run", "stage", "field", "value"], rows, params
 
 

@@ -235,7 +235,7 @@ def check_success_condition(
         epsilon: target error bound, in (0, 1/2).
         mu: mean photon number |alpha|^2 of the translated protocol.
         probs_qubit: original outcome probabilities p_k over all modes,
-            summing to 1.  Click probabilities are derived per mode as
+            summing to 1.  Click probabilities are computed per mode as
             p_{alpha,k} = 1 - e^{-mu p_k}.
         partition: the two mode sets S_0 / S_1.
 
@@ -327,12 +327,13 @@ def estimate_success_probability(
 ) -> McEstimate:
     """Monte Carlo success frequency of the click-count decision rule.
 
-    The generator receives a per-trial generator (derived as seed.derive(t))
-    and must return the click pattern of one protocol run whose correct
-    answer is the S_0 outcome; a trial succeeds when :func:`decide` returns
-    ZERO.  Ties count as failures by default ("failure"), matching the strict
-    Pr(C_0 > C_1) success event; policy "coin" resolves each tie with a fair
-    seeded coin flip instead.
+    All trials share the one generator ``seed.rng()``, drawn from in trial
+    order.  ``trial_generator`` receives it and must return the click pattern
+    of one protocol run whose correct answer is the S_0 outcome; a trial
+    succeeds when :func:`decide` returns ZERO.  Ties count as failures by
+    default ("failure"), matching the strict Pr(C_0 > C_1) success event;
+    policy "coin" resolves each tie with a fair coin flip from the same
+    generator instead.
 
     Returns the success frequency and its Wald 95% half-width.
     """
@@ -340,10 +341,10 @@ def estimate_success_probability(
         raise ValueError("trials must be at least 1")
     if tie_policy not in ("failure", "coin"):
         raise ValueError(f"unknown tie policy {tie_policy!r}")
+    rng = seed.rng()
     successes = 0
     ties = 0
-    for t in range(trials):
-        rng = seed.derive(t).rng()
+    for _ in range(trials):
         pattern = trial_generator(rng)
         outcome = decide(pattern, partition)
         if outcome is Outcome.TIE:

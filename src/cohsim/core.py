@@ -2,22 +2,20 @@
 
 States and operators are immutable value objects backed by numpy arrays, and
 every operation is a pure function of its inputs.  Randomness is always routed
-through an explicit :class:`Seed`, so trials can run concurrently and still
-reproduce bit-identical results.
+through an explicit :class:`Seed`: runners name one stream per experiment
+stage with :meth:`Seed.child` and hand its ``np.random.Generator`` to the
+functions that draw, so a fixed seed reproduces bit-identical results.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 # Tolerance for structural invariants (state norm, unitarity).
 NORM_TOL = 1e-10
-# Tolerance for checks on composed operations (products of ops accumulate error).
-COMPOSED_TOL = 1e-9
-
-_MAX_UINT64 = 2**64
 
 
 class DimensionMismatchError(ValueError):
@@ -29,31 +27,57 @@ def _check_same_dim(da: int, db: int, what: str) -> None:
         raise DimensionMismatchError(f"incompatible {what}: dimensions {da} and {db}")
 
 
+def _index(value, what: str) -> int:
+    """``value`` as a non-negative Python int; bools and non-integers are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be non-negative, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Seed:
-    """Root of all randomness: (master_seed, trial_index) fixes every draw.
+    """Root of all randomness: a master seed and a path of named keys.
 
-    Batch runners derive one child per trial via :meth:`derive`, which makes
-    results independent of execution order.
+    ``Seed(master).child("usd", b)`` names one random stream; each key is a
+    ``str`` or a non-negative ``int``.  The path becomes the ``spawn_key`` of
+    a NumPy ``SeedSequence``, so distinct paths give independent streams.
     """
 
     master_seed: int
-    trial_index: int = 0
+    path: tuple[str | int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.master_seed) < _MAX_UINT64:
+        if (master := _index(self.master_seed, "master_seed")) >= 2**64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-        if int(self.trial_index) < 0:
-            raise ValueError("trial_index must be non-negative")
+        path = tuple(k if isinstance(k, str) else _index(k, "seed key") for k in self.path)
+        object.__setattr__(self, "master_seed", master)
+        object.__setattr__(self, "path", path)
 
-    def derive(self, offset: int) -> "Seed":
-        """Child seed for trial ``trial_index + offset``."""
-        return Seed(self.master_seed, self.trial_index + offset)
+    def child(self, *keys: str | int) -> "Seed":
+        """The stream named by this path extended with ``keys``."""
+        return Seed(self.master_seed, self.path + keys)
 
     def rng(self) -> np.random.Generator:
-        """Fresh generator determined entirely by (master_seed, trial_index)."""
-        ss = np.random.SeedSequence([int(self.master_seed), int(self.trial_index)])
+        """Fresh generator determined entirely by (master_seed, path)."""
+        ss = np.random.SeedSequence(self.master_seed, spawn_key=_spawn_key(self.path))
         return np.random.default_rng(ss)
+
+
+def _spawn_key(path: tuple[str | int, ...]) -> tuple[int, ...]:
+    """Path as a prefix-free word sequence: per key a type tag, a length, its bytes.
+
+    Every word is below 2**32, so NumPy reads each as one entropy word.
+    """
+    words: list[int] = []
+    for key in path:
+        if isinstance(key, str):
+            tag, data = 1, key.encode("utf-8")
+        else:
+            tag, data = 0, key.to_bytes((key.bit_length() + 7) // 8, "little")
+        words += (tag, len(data), *data)
+    return tuple(words)
 
 
 def _as_complex_vector(values, name: str) -> np.ndarray:
@@ -144,16 +168,15 @@ def apply_unitary(u: UnitaryOp, s: PureState) -> PureState:
     return PureState(u.matrix @ s.amplitudes)
 
 
-def random_state(d: int, seed: Seed) -> PureState:
+def random_state(d: int, rng: np.random.Generator) -> PureState:
     """State drawn uniformly from the complex unit sphere in dimension d."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    rng = seed.rng()
     vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(vec / np.linalg.norm(vec))
 
 
-def random_unitary(d: int, seed: Seed) -> UnitaryOp:
+def random_unitary(d: int, rng: np.random.Generator) -> UnitaryOp:
     """Haar-distributed unitary: QR of a complex Ginibre matrix, phases fixed.
 
     Multiplying Q by the phases of diag(R) makes the decomposition unique and
@@ -161,7 +184,6 @@ def random_unitary(d: int, seed: Seed) -> UnitaryOp:
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    rng = seed.rng()
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)

@@ -21,12 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PureState, Seed
+from .core import PureState
 from .mapping import ModeCoherentState
-
-# Poisson sampling switches from CDF inversion to the generator's own method
-# above this mean; desk-scale per-mode means stay far below it.
-_POISSON_INVERSION_CUTOFF = 30.0
 
 # Refuse to enumerate photon-number records beyond this many compositions.
 _MAX_ENUMERATION = 2_000_000
@@ -94,49 +90,14 @@ def click_probabilities(c: ModeCoherentState) -> np.ndarray:
     return -np.expm1(-c.per_mode_mean_photons)
 
 
-def sample_click_pattern(c: ModeCoherentState, seed: Seed) -> ClickPattern:
+def sample_click_pattern(c: ModeCoherentState, rng: np.random.Generator) -> ClickPattern:
     """One threshold measurement: modes click independently with p_k."""
-    probs = click_probabilities(c)
-    rng = seed.rng()
-    return ClickPattern(rng.random(c.dim) < probs)
+    return ClickPattern(rng.random(c.dim) < click_probabilities(c))
 
 
-def _sample_poisson(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
-    """Independent Poisson draws, by CDF inversion for small means.
-
-    Inversion consumes exactly one uniform per variate, which keeps trial
-    streams simple and reproducible; large means fall back to the generator.
-    """
-    means = np.atleast_1d(np.asarray(means, dtype=np.float64))
-    counts = np.zeros(means.shape, dtype=np.int64)
-    small = means < _POISSON_INVERSION_CUTOFF
-    if np.any(small):
-        m = means[small]
-        u = rng.random(m.shape)
-        pmf = np.exp(-m)
-        cdf = pmf.copy()
-        out = np.zeros(m.shape, dtype=np.int64)
-        k = 0
-        # Walk all lagging modes forward together; runaway loop impossible
-        # because the uniform is < 1 and the CDF converges to 1.
-        while np.any(active := u > cdf):
-            k += 1
-            if k > 10_000:
-                raise RuntimeError("Poisson inversion failed to converge")
-            pmf = pmf * m / k
-            cdf = cdf + pmf
-            out[active] += 1
-        counts[small] = out
-    if np.any(~small):
-        counts[~small] = rng.poisson(means[~small])
-    return counts
-
-
-def sample_photon_numbers(c: ModeCoherentState, seed: Seed) -> PhotonRecord:
+def sample_photon_numbers(c: ModeCoherentState, rng: np.random.Generator) -> PhotonRecord:
     """Exact photon counts: mode k draws Poisson(|amplitude_k|^2) independently."""
-    rng = seed.rng()
-    counts = _sample_poisson(rng, c.per_mode_mean_photons)
-    return PhotonRecord.from_counts(counts)
+    return PhotonRecord.from_counts(rng.poisson(c.per_mode_mean_photons))
 
 
 def photon_count_probability(c: ModeCoherentState, counts) -> float:
@@ -183,19 +144,23 @@ def multinomial_oracle(s: PureState, n: int) -> dict[tuple[int, ...], float]:
         raise ValueError(
             f"enumeration of {n_records} records exceeds the cap {_MAX_ENUMERATION}"
         )
-    probs = np.abs(s.amplitudes) ** 2
+    log_probs = [math.log(p) if p > 0.0 else -math.inf for p in np.abs(s.amplitudes) ** 2]
+    log_n_fact = math.lgamma(n + 1)
     out: dict[tuple[int, ...], float] = {}
     for record in _compositions(n, d):
-        coeff = math.factorial(n)
-        p = 1.0
-        for n_k, p_k in zip(record, probs):
-            coeff //= math.factorial(n_k)
-            p *= p_k**n_k
-        out[record] = coeff * p
+        # log of n!/(n_1!...n_d!) prod_k p_k^{n_k}; a mode with p_k = 0 adds
+        # nothing when empty and rules the record out when it holds photons.
+        log_p = log_n_fact
+        for n_k, log_p_k in zip(record, log_probs):
+            if n_k:
+                log_p += n_k * log_p_k - math.lgamma(n_k + 1)
+        out[record] = math.exp(log_p)
     return out
 
 
-def poissonized_repetition_oracle(s: PureState, mu: float, seed: Seed) -> PhotonRecord:
+def poissonized_repetition_oracle(
+    s: PureState, mu: float, rng: np.random.Generator
+) -> PhotonRecord:
     """Sample counts as N ~ Poisson(mu) repetitions of the single-photon protocol.
 
     Each of the N repetitions lands in mode k with probability |lambda_k|^2;
@@ -204,8 +169,7 @@ def poissonized_repetition_oracle(s: PureState, mu: float, seed: Seed) -> Photon
     """
     if mu < 0.0:
         raise ValueError("mu must be non-negative")
-    rng = seed.rng()
-    n = int(_sample_poisson(rng, np.array([mu]))[0])
+    n = int(rng.poisson(mu))
     probs = np.abs(s.amplitudes) ** 2
     counts = rng.multinomial(n, probs / probs.sum())
     return PhotonRecord.from_counts(counts)

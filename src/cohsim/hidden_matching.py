@@ -107,11 +107,7 @@ def output_port_labels(m: Matching) -> tuple[tuple[tuple[int, int], int], ...]:
     Port 2t-1 (the "+" combination) signals parity 0 for pair t, port 2t
     (the "-" combination) signals parity 1.
     """
-    labels: list[tuple[tuple[int, int], int]] = []
-    for pair in m.pairs:
-        labels.append((pair, 0))
-        labels.append((pair, 1))
-    return tuple(labels)
+    return tuple((pair, parity) for pair in m.pairs for parity in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -152,13 +148,12 @@ def run_experiment(
     """Run many seeded trials and tally correct / wrong / inconclusive.
 
     ``matching`` and/or ``x`` may be None, in which case they are drawn once
-    per experiment from the seed.  Trial t uses seed.derive(t + 1), so the
-    tally does not depend on execution order; the setup draw uses the seed
-    itself.
+    per experiment from the stream ``seed.child("setup")``.  All trials draw,
+    one after another, from the one stream ``seed.child("trials")``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    setup_rng = seed.rng()
+    setup_rng = seed.child("setup").rng()
     if matching is None:
         matching = random_matching(n, setup_rng)
     if matching.n != n:
@@ -175,9 +170,10 @@ def run_experiment(
     labels = output_port_labels(matching)
     truth = {pair: int(bits[pair[0] - 1] ^ bits[pair[1] - 1]) for pair in matching.pairs}
 
+    trial_rng = seed.child("trials").rng()
     correct = wrong = inconclusive = 0
-    for t in range(trials):
-        pattern = sample_click_pattern(out, seed.derive(t + 1))
+    for _ in range(trials):
+        pattern = sample_click_pattern(out, trial_rng)
         if not pattern.any_click:
             inconclusive += 1
             continue

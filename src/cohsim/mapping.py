@@ -135,7 +135,7 @@ def phase_encoded_state(bits, alpha: complex) -> ModeCoherentState:
 def overlap_coherent(delta: complex, alpha: complex) -> complex:
     """Overlap of the coherent versions of two states with overlap delta.
 
-    Equals exp[|alpha|^2 (delta - 1)]; derived by multiplying the per-mode
+    Equals exp[|alpha|^2 (delta - 1)]; obtained by multiplying the per-mode
     coherent overlaps and using the normalization of both state vectors.
     """
     delta = complex(delta)

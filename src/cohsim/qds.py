@@ -30,13 +30,14 @@ differ from Bob's in a fraction of the modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from typing import Any
 
 import numpy as np
 
-from .core import Seed
+from .core import Seed, _index
 from .mapping import ModeCoherentState, beam_splitter, parse_bits, phase_encoded_state
 
 TAMPER_MODELS = ("none", "flip_revealed", "repudiation")
@@ -63,11 +64,10 @@ class PrivateKeys:
         return self.k0 if b == 0 else self.k1
 
 
-def keygen(n: int, seed: Seed) -> PrivateKeys:
-    """Two independent uniform n-bit strings, deterministic per seed."""
+def keygen(n: int, rng: np.random.Generator) -> PrivateKeys:
+    """Two independent uniform n-bit strings."""
     if n < 1:
         raise ValueError("key length must be at least 1")
-    rng = seed.rng()
     return PrivateKeys(
         rng.integers(0, 2, n).astype(np.uint8),
         rng.integers(0, 2, n).astype(np.uint8),
@@ -134,18 +134,24 @@ def _usd_probabilities(amps: np.ndarray, beta: float) -> tuple[np.ndarray, np.nd
     amplitudes it is the projection of |gamma> onto the same measurement.
     """
     s = math.exp(-2.0 * beta * beta)
-    mag_sq = np.abs(amps) ** 2
-    # <+-beta|gamma> = exp(-(beta^2 + |gamma|^2)/2 +- beta*gamma) for real beta.
-    base = np.exp(-(beta * beta + mag_sq) / 2.0)
-    ov_plus = base * np.exp(beta * amps)
-    ov_minus = base * np.exp(-beta * amps)
-    norm = (1.0 - s * s) * (1.0 + s)
-    p_plus = np.abs(ov_plus - s * ov_minus) ** 2 / norm
-    p_minus = np.abs(ov_minus - s * ov_plus) ** 2 / norm
-    return p_plus, p_minus
+    # For gamma = x + iy, <+-beta|gamma> has modulus exp(-((beta -+ x)^2 + y^2)/2),
+    # at most 1, and phase +-beta*y: real arithmetic only, and nothing overflows.
+    # 1 - s^2 comes from expm1, which stays non-zero for every beta > 0.
+    x, y_sq = amps.real, amps.imag**2
+    mod_plus = np.exp(-((beta - x) ** 2 + y_sq) / 2.0)
+    mod_minus = np.exp(-((beta + x) ** 2 + y_sq) / 2.0)
+    cos_sq = np.cos(beta * amps.imag) ** 2
+    norm = -math.expm1(-2.0 * beta * beta) * (1.0 + s) ** 2
+
+    def prob(a, b):  # |a e^{i beta y} - s b e^{-i beta y}|^2 / norm
+        return ((a - s * b) ** 2 * cos_sq + (a + s * b) ** 2 * (1.0 - cos_sq)) / norm
+
+    return prob(mod_plus, mod_minus), prob(mod_minus, mod_plus)
 
 
-def usd_measure(c: ModeCoherentState, reference_magnitude: float, seed: Seed) -> UsdRecord:
+def usd_measure(
+    c: ModeCoherentState, reference_magnitude: float, rng: np.random.Generator
+) -> UsdRecord:
     """Mode-by-mode USD between +beta and -beta on the kept copy.
 
     With honest inputs (every amplitude exactly +-beta) each mode is
@@ -159,7 +165,7 @@ def usd_measure(c: ModeCoherentState, reference_magnitude: float, seed: Seed) ->
     if beta == 0.0:
         return UsdRecord(np.zeros(c.dim, dtype=np.int8))
     p_plus, p_minus = _usd_probabilities(c.mode_amplitudes, beta)
-    u = seed.rng().random(c.dim)
+    u = rng.random(c.dim)
     outcomes = np.zeros(c.dim, dtype=np.int8)
     outcomes[u < p_plus] = UsdOutcome.UNAMBIGUOUS_PLUS
     outcomes[(u >= p_plus) & (u < p_plus + p_minus)] = UsdOutcome.UNAMBIGUOUS_MINUS
@@ -177,7 +183,7 @@ class EqualityTestReport:
 
 
 def equality_test(
-    b: ModeCoherentState, c: ModeCoherentState, f: float, seed: Seed
+    b: ModeCoherentState, c: ModeCoherentState, f: float, rng: np.random.Generator
 ) -> EqualityTestReport:
     """Interfere two copies mode by mode; abort when NEQ clicks dominate.
 
@@ -193,7 +199,6 @@ def equality_test(
     eq_amps, neq_amps = beam_splitter(b.mode_amplitudes, c.mode_amplitudes)
     p_eq = -np.expm1(-np.abs(eq_amps) ** 2)
     p_neq = -np.expm1(-np.abs(neq_amps) ** 2)
-    rng = seed.rng()
     eq_clicks = int((rng.random(b.dim) < p_eq).sum())
     neq_clicks = int((rng.random(b.dim) < p_neq).sum())
     total = eq_clicks + neq_clicks
@@ -250,6 +255,10 @@ def verify_message(
     )
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class QdsConfig:
     """Run parameters; thresholds must be ordered 0 <= s_a < s_v < 1."""
@@ -264,6 +273,14 @@ class QdsConfig:
     message_bit: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "message_bit"):
+            _index(getattr(self, name), name)
+        for name in ("alpha_sq", "f", "s_a", "s_v"):
+            value = getattr(self, name)
+            if not _is_real(value) or not math.isfinite(value):
+                raise TypeError(f"{name} must be a finite real number, got {value!r}")
+        if not isinstance(self.tamper_params, dict):
+            raise TypeError(f"tamper_params must be an object, got {self.tamper_params!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.alpha_sq <= 0.0:
@@ -278,18 +295,14 @@ class QdsConfig:
             )
         if self.tamper_model != "none":
             frac = self.tamper_params.get("fraction")
-            if frac is None or not 0.0 < float(frac) <= 1.0:
+            if not _is_real(frac) or not 0.0 < frac <= 1.0:
                 raise ValueError("tamper_params must set 'fraction' in (0, 1]")
         if self.message_bit not in (0, 1):
             raise ValueError("message_bit must be 0 or 1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "QdsConfig":
-        known = {
-            "n", "alpha_sq", "f", "s_a", "s_v",
-            "tamper_model", "tamper_params", "message_bit",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {spec.name for spec in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
@@ -312,13 +325,8 @@ class QdsTranscript:
 
     @property
     def accepted_by_both(self) -> bool:
-        return (
-            not self.aborted
-            and self.bob_verdict is not None
-            and self.bob_verdict.accept
-            and self.charlie_verdict is not None
-            and self.charlie_verdict.accept
-        )
+        verdicts = (self.bob_verdict, self.charlie_verdict)
+        return not self.aborted and all(v is not None and v.accept for v in verdicts)
 
 
 def _flip_mask(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
@@ -328,48 +336,40 @@ def _flip_mask(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
     mask[rng.choice(n, size=count, replace=False)] = 1
     return mask
 
-# Seed offsets per protocol stage; usd/equality stages add 2*b + recipient.
-_OFF_KEYGEN = 0
-_OFF_TAMPER = 1
-_OFF_USD = 2       # .. 5: (bob, charlie) x (b = 0, 1)
-_OFF_EQUALITY = 6  # .. 7: b = 0, 1
-
 
 def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
-    """Execute distribution, symmetrization, and messaging for one run."""
+    """Execute distribution, symmetrization, and messaging for one run.
+
+    Every stage draws from its own named stream under ``seed``: "keygen",
+    "tamper", ("usd", b, recipient) and ("equality", b).
+    """
     n = config.n
     alpha = math.sqrt(config.alpha_sq)
     beta = math.sqrt(config.alpha_sq / (2.0 * n))
     records: list[StageRecord] = []
 
-    keys = keygen(n, seed.derive(_OFF_KEYGEN))
+    keys = keygen(n, seed.child("keygen").rng())
     records.append(StageRecord("keygen", {"n": n}))
 
-    tamper_rng = seed.derive(_OFF_TAMPER).rng()
-    repudiation_masks = {0: None, 1: None}
+    tamper_rng = seed.child("tamper").rng()
+    repudiation_masks = {0: 0, 1: 0}
     if config.tamper_model == "repudiation":
         frac = float(config.tamper_params["fraction"])
         repudiation_masks = {b: _flip_mask(n, frac, tamper_rng) for b in (0, 1)}
 
     usd_records: dict[tuple[str, int], UsdRecord] = {}
-    equality_reports: dict[int, EqualityTestReport] = {}
     shared_copies: dict[tuple[str, int], ModeCoherentState] = {}
 
     for b in (0, 1):
-        bob_key = keys.key(b)
-        charlie_key = bob_key
-        if repudiation_masks[b] is not None:
-            charlie_key = bob_key ^ repudiation_masks[b]
         received = {
-            "bob": phase_encoded_state(bob_key, alpha),
-            "charlie": phase_encoded_state(charlie_key, alpha),
+            "bob": phase_encoded_state(keys.key(b), alpha),
+            "charlie": phase_encoded_state(keys.key(b) ^ repudiation_masks[b], alpha),
         }
-        for r, (who, state) in enumerate(received.items()):
+        for who, state in received.items():
             kept, shared = split(state)
             shared_copies[(who, b)] = shared
-            usd_records[(who, b)] = usd_measure(
-                kept, beta, seed.derive(_OFF_USD + 2 * b + r)
-            )
+            usd_rng = seed.child("usd", b, who).rng()
+            usd_records[(who, b)] = usd_measure(kept, beta, usd_rng)
     records.append(
         StageRecord(
             "distribution",
@@ -396,9 +396,8 @@ def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
             shared_copies[("bob", b)],
             shared_copies[("charlie", b)],
             config.f,
-            seed.derive(_OFF_EQUALITY + b),
+            seed.child("equality", b).rng(),
         )
-        equality_reports[b] = report
         aborted = aborted or report.aborted
         records.append(
             StageRecord(

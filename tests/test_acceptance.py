@@ -58,10 +58,11 @@ def test_criterion_1_overlap_law():
         return out
 
     worst = 0.0
-    for k in range(200):
-        d = int(Seed(1000, k).rng().integers(2, 65))
-        psi = random_state(d, Seed(1001, k))
-        phi = random_state(d, Seed(1002, k))
+    rng = Seed(1000).rng()
+    for _ in range(200):
+        d = int(rng.integers(2, 65))
+        psi = random_state(d, rng)
+        phi = random_state(d, rng)
         delta = complex(np.vdot(psi.amplitudes, phi.amplitudes))
         for mu in (0.25, 1.0, 4.0, 10.0):
             alpha = math.sqrt(mu)
@@ -109,8 +110,9 @@ def records_up_to(d, total):
 def test_criterion_3_photon_statistics_equivalence():
     checked = 0
     worst = 0.0
-    for k, d in enumerate((1, 2, 3, 4, 6)):
-        psi = random_state(d, Seed(1010, k))
+    rng = Seed(1010).rng()
+    for d in (1, 2, 3, 4, 6):
+        psi = random_state(d, rng)
         for mu in (0.5, 1.5, 3.0):
             c = map_state(psi, math.sqrt(mu))
             mixtures = {n: multinomial_oracle(psi, n) for n in range(9)}
@@ -189,7 +191,7 @@ def test_criterion_5_success_condition_soundness():
             d0, float(click[0]), d1, float(click[-1]) if d1 else 0.0
         )
         mc = estimate_success_probability(
-            generator, partition, 100_000, Seed(1030, 1000 * i), tie_policy="failure"
+            generator, partition, 100_000, Seed(1030).child(i), tie_policy="failure"
         )
         assert mc.p_hat >= 1.0 - eps - 3.0 * mc.ci95
     assert holding >= 3
@@ -250,7 +252,7 @@ def test_criterion_6_hidden_matching():
 
     # randomized: 1e5 trials at n = 64 per photon budget
     for k, mu in enumerate((1.0, 3.0, 5.0)):
-        stats = run_experiment(64, None, None, math.sqrt(mu), 100_000, Seed(1040, k))
+        stats = run_experiment(64, None, None, math.sqrt(mu), 100_000, Seed(1040).child(k))
         assert stats.conclusive_wrong == 0
         expected = math.exp(-mu)
         sigma = math.sqrt(expected * (1 - expected) / stats.trials)
@@ -310,7 +312,7 @@ def test_criterion_8_qds():
     accepted = 0
     tested_positions = 0
     for k in range(1000):
-        t = run_qds(honest, Seed(1050, k))
+        t = run_qds(honest, Seed(1050).child(k))
         assert not t.aborted
         assert t.bob_verdict.mismatches == 0
         assert t.charlie_verdict.mismatches == 0
@@ -337,7 +339,7 @@ def test_criterion_8_qds():
         tamper_model="flip_revealed", tamper_params={"fraction": 0.2},
     )
     rejections = sum(
-        not run_qds(tamper, Seed(1051, k)).bob_verdict.accept for k in range(1000)
+        not run_qds(tamper, Seed(1051).child(k)).bob_verdict.accept for k in range(1000)
     )
     assert rejections / 1000 > 0.99
 
@@ -346,6 +348,6 @@ def test_criterion_8_qds():
         n=512, alpha_sq=36.0, f=0.01,
         tamper_model="repudiation", tamper_params={"fraction": 0.2},
     )
-    aborts = sum(run_qds(repud, Seed(1052, k)).aborted for k in range(1000))
+    aborts = sum(run_qds(repud, Seed(1052).child(k)).aborted for k in range(1000))
     assert aborts / 1000 > 0.99
     report(8, f"1000/1000 honest runs accepted with zero mismatches; flip tamper rejected {rejections}/1000; repudiation aborted {aborts}/1000; conclusive rate within 3 sigma")

@@ -5,14 +5,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cohsim
-from cohsim import cli
+from cohsim import Seed, cli
+from cohsim.qds import TAMPER_MODELS
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +90,10 @@ def test_dim_bound_json_is_strict_at_d_one(capsys):
         (("hidden-matching", "--n", "4", "--alpha-sq", "nan", "--seed", "1"), "--alpha-sq"),
         (("hidden-matching", "--n", "4", "--alpha-sq", "inf", "--seed", "1"), "--alpha-sq"),
         (("hidden-matching", "--n", "4", "--alpha-sq", "-1", "--seed", "1"), "--alpha-sq"),
+        (("hidden-matching", "--n", "4", "--trials", "0", "--seed", "1"), "--trials"),
+        (("thm-check", "--lecam-instances", "-1", "--seed", "1"), "--lecam-instances"),
+        (("thm-check", "--lecam-instances", "0", "--seed", "1"), "--lecam-instances"),
+        (("thm-check", "--trials", "0", "--seed", "1"), "--trials"),
     ],
 )
 def test_invalid_numbers_are_validation_errors_naming_the_flag(capsys, argv, flag):
@@ -269,3 +277,145 @@ def test_reals_use_twelve_significant_digits(capsys):
     _, rows = parse_csv(out)
     value = rows[0][2]
     assert value == f"{math.exp(-0.7):.12g}"
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"n": 512.5}, "n"),
+        ({"n": "512"}, "n"),
+        ({"n": True}, "n"),
+        ({"tamper_params": []}, "tamper_params"),
+        ({"tamper_model": "repudiation", "tamper_params": []}, "tamper_params"),
+        ({"tamper_model": "repudiation", "tamper_params": {"fraction": "0.2"}}, "fraction"),
+        ({"trials": 2.7}, "trials"),
+        ({"trials": "3"}, "trials"),
+        ({"trials": False}, "trials"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 2**64}, "seed"),
+        ({"message_bit": 1.0}, "message_bit"),
+        ({"alpha_sq": "9"}, "alpha_sq"),
+        ({"alpha_sq": math.inf}, "alpha_sq"),
+        ({"f": math.nan}, "f"),
+        ({"s_v": None}, "s_v"),
+    ],
+)
+def test_qds_config_type_errors_exit_one_naming_the_field(capsys, tmp_path, overrides, field):
+    path = write_config(tmp_path, **overrides)
+    code, out, err = run_cli(capsys, "qds", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert field in err
+    assert "not supported" not in err
+
+
+# Each fixed-seed command, small enough to run twice in fresh interpreters.
+_FIXED_SEED_RUNS = {
+    "hidden-matching": ["hidden-matching", "--n", "16", "--trials", "3000", "--seed", "7"],
+    "thm-check": ["thm-check", "--lecam-instances", "10", "--trials", "2000", "--seed", "7"],
+    "qds": ["qds", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FIXED_SEED_RUNS))
+def test_fixed_seed_output_is_byte_identical_across_processes(tmp_path, command):
+    argv = list(_FIXED_SEED_RUNS[command])
+    if command == "qds":
+        argv += ["--config", str(write_config(tmp_path, trials=4))]
+    src = str(Path(cohsim.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+            PYTHONHASHSEED=hash_seed,
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "cohsim.cli", *argv, "--format", "json"],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["rows"]
+
+
+def test_thm_check_draws_each_stage_from_its_own_stream(capsys, monkeypatch):
+    # Flat offsets let the three Monte Carlo instances share 19k of their
+    # 20k trial streams.  Every stream is now named, and no value drawn by
+    # one stream reappears in another.
+    streams = []
+    rng = Seed.rng
+    monkeypatch.setattr(Seed, "rng", lambda self: streams.append(self) or rng(self))
+    code, _, _ = run_cli(
+        capsys, "thm-check", "--lecam-instances", "3", "--trials", "50", "--seed", "7"
+    )
+    assert code == 0
+    assert [s.path for s in streams] == [("lecam",), ("mc", 0), ("mc", 1), ("mc", 2)]
+    draws = [rng(s).integers(0, 2**63, 2_000) for s in streams]
+    assert len(set().union(*map(set, draws))) == sum(d.size for d in draws)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers(-3, 64) | st.floats() | st.text(max_size=6)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_field_values = st.one_of(
+    st.integers(0, 64),
+    st.floats(0.0, 1.0),
+    st.sampled_from(TAMPER_MODELS),
+    st.fixed_dictionaries({"fraction": _json_scalars | st.floats(0.0, 1.0)}),
+    _json_values,
+)
+_field_names = st.sampled_from(
+    ["n", "alpha_sq", "f", "s_a", "s_v", "tamper_model", "tamper_params",
+     "message_bit", "trials", "seed"]
+)
+# Well-typed configs whose values may break the range checks, a valid config
+# with up to three fields replaced by any JSON, or any JSON document at all.
+_typed_configs = st.fixed_dictionaries(
+    {
+        "n": st.integers(-2, 64),
+        "alpha_sq": st.floats(),
+        "f": st.floats(0.0, 1.0),
+        "s_a": st.floats(0.0, 0.5),
+        "s_v": st.floats(0.0, 1.0),
+        "tamper_model": st.sampled_from(TAMPER_MODELS),
+        "tamper_params": st.fixed_dictionaries({"fraction": st.floats(0.0, 1.0)}),
+        "message_bit": st.integers(0, 1),
+        "trials": st.integers(0, 3),
+        "seed": st.integers(0, 2**64),
+    }
+)
+_configs = st.one_of(
+    _typed_configs,
+    st.builds(
+        lambda changes: {"n": 16, "alpha_sq": 9.0, "seed": 1, "trials": 1, **changes},
+        st.dictionaries(_field_names, _field_values, max_size=3),
+    ),
+    _json_values,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(config=_configs)
+def test_any_json_qds_config_exits_zero_or_one_with_finite_output(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        out = Path(tmp) / "out.json"
+        code = cli.main(["qds", "--config", str(path), "--format", "json", "--out", str(out)])
+        assert code in (0, 1)
+        if code == 0:
+            doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+            cells = [v for row in doc["rows"] for v in row]
+            assert all(math.isfinite(v) for v in cells if isinstance(v, float))

@@ -350,6 +350,20 @@ def test_mc_conclusive_rate_generator():
     assert abs(est.p_hat - p_conclusive) < 3 * sigma
 
 
+def test_mc_draws_every_trial_from_one_generator(monkeypatch):
+    seen = []
+    rng = Seed.rng
+    monkeypatch.setattr(Seed, "rng", lambda self: seen.append(self) or rng(self))
+
+    def generator(rng):
+        seen.append(rng)
+        return pattern(1, 1, 0, 0)
+
+    estimate_success_probability(generator, PART_2_2, 100, Seed(91))
+    assert seen[0] == Seed(91)
+    assert len(seen) == 101 and all(g is seen[1] for g in seen[1:])
+
+
 def test_mc_rejects_bad_arguments():
     with pytest.raises(ValueError):
         estimate_success_probability(lambda rng: pattern(1, 0, 0, 0), PART_2_2, 0, Seed(89))

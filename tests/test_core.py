@@ -38,14 +38,15 @@ def test_inner_product_dimension_mismatch():
 
 
 def test_inner_product_magnitude_bounded():
-    for k in range(20):
-        a = random_state(8, Seed(100, k))
-        b = random_state(8, Seed(200, k))
+    rng = Seed(100).rng()
+    for _ in range(20):
+        a = random_state(8, rng)
+        b = random_state(8, rng)
         assert abs(inner_product(a, b)) <= 1.0 + 1e-10
 
 
 def test_apply_identity():
-    s = random_state(5, Seed(1))
+    s = random_state(5, Seed(1).rng())
     eye = UnitaryOp(np.eye(5, dtype=complex))
     np.testing.assert_allclose(apply_unitary(eye, s).amplitudes, s.amplitudes)
 
@@ -61,55 +62,59 @@ def test_apply_unitary_dimension_mismatch():
 
 
 def test_random_unitary_preserves_norm():
-    u = random_unitary(16, Seed(2))
-    s = random_state(16, Seed(3))
+    rng = Seed(2).rng()
+    u = random_unitary(16, rng)
+    s = random_state(16, rng)
     out = apply_unitary(u, s)
     assert np.sum(np.abs(out.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_unitary_preserves_inner_products():
-    for k in range(25):
-        d = int(Seed(4, k).rng().integers(2, 33))
-        u = random_unitary(d, Seed(5, k))
-        a = random_state(d, Seed(6, k))
-        b = random_state(d, Seed(7, k))
+    rng = Seed(4).rng()
+    for _ in range(25):
+        d = int(rng.integers(2, 33))
+        u = random_unitary(d, rng)
+        a = random_state(d, rng)
+        b = random_state(d, rng)
         before = inner_product(a, b)
         after = inner_product(apply_unitary(u, a), apply_unitary(u, b))
         assert abs(after - before) < 1e-9
 
 
 def test_random_unitary_unitarity_across_dimensions():
+    rng = Seed(8).rng()
     for d in (1, 2, 3, 5, 8, 16, 33, 64):
-        u = random_unitary(d, Seed(8, d))
+        u = random_unitary(d, rng)
         deviation = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(d)))
         assert deviation <= 1e-10
 
 
 def test_random_state_single_mode_has_unit_modulus():
-    s = random_state(1, Seed(9))
+    s = random_state(1, Seed(9).rng())
     assert abs(s.amplitudes[0]) == pytest.approx(1.0)
 
 
 def test_randomness_is_deterministic_per_seed():
-    a = random_state(6, Seed(10, 3))
-    b = random_state(6, Seed(10, 3))
+    seed = Seed(10).child(3)
+    a = random_state(6, seed.rng())
+    b = random_state(6, seed.rng())
     np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
-    u = random_unitary(6, Seed(10, 3))
-    v = random_unitary(6, Seed(10, 3))
+    u = random_unitary(6, seed.rng())
+    v = random_unitary(6, seed.rng())
     np.testing.assert_array_equal(u.matrix, v.matrix)
 
 
 def test_distinct_trial_indices_give_distinct_draws():
-    a = random_state(6, Seed(11, 0))
-    b = random_state(6, Seed(11, 1))
+    a = random_state(6, Seed(11).child(0).rng())
+    b = random_state(6, Seed(11).child(1).rng())
     assert not np.allclose(a.amplitudes, b.amplitudes)
 
 
 def test_zero_dimension_rejected():
     with pytest.raises(ValueError):
-        random_state(0, Seed(12))
+        random_state(0, Seed(12).rng())
     with pytest.raises(ValueError):
-        random_unitary(0, Seed(12))
+        random_unitary(0, Seed(12).rng())
     with pytest.raises(ValueError):
         basis_state(0, 1)
 
@@ -139,12 +144,68 @@ def test_seed_validation():
     with pytest.raises(ValueError):
         Seed(2**64)
     with pytest.raises(ValueError):
-        Seed(1, -2)
+        Seed(1).child(-2)
+    for bad in (True, 1.5, "7"):
+        with pytest.raises(TypeError):
+            Seed(bad)
+    for bad_key in (False, 2.0, None, (1,)):
+        with pytest.raises(TypeError):
+            Seed(1).child(bad_key)
 
 
-def test_seed_derive_offsets_trial_index():
-    s = Seed(21, 5)
-    assert s.derive(3) == Seed(21, 8)
+def test_seed_child_extends_the_path():
+    s = Seed(21).child("a")
+    assert s.path == ("a",)
+    assert s.child(5) == Seed(21, ("a", 5))
+    # child("a", 1) and child("a").child(1) name the same stream.
+    assert Seed(21).child("a", 1) == Seed(21).child("a").child(1)
+    np.testing.assert_array_equal(
+        Seed(21).child("a", 1).rng().random(4), Seed(21).child("a").child(1).rng().random(4)
+    )
+
+
+def test_seed_without_a_path_is_numpy_default_rng_of_the_master_seed():
+    np.testing.assert_array_equal(Seed(33).rng().random(8), np.random.default_rng(33).random(8))
+
+
+# Paths that a flat counter or a naive flattening of keys would confuse.
+_DISTINCT_PATHS = [
+    (), (0,), (1,), ("0",), ("1",), ("",), (0, 0), ("a",), ("a", 1), ("a", "1"),
+    ("a", 1, 0), ("a1",), (1, "a"), (2**32,), (0, 1), (1, 0), (256,), (1, 0, 0),
+    ("usd", 0, "bob"), ("usd", 0, "charlie"), ("usd", 1, "bob"), ("mc", 0), ("mc", 1),
+    ("mc", 2), ("lecam",), ("setup",), ("trials",), (1000,), (2000,), (1000, 1000),
+    (2000, 0), ("\x00",), ("\x00\x00",), (2**64,), (2**64 - 1,),
+]
+
+
+def test_distinct_paths_give_distinct_streams():
+    draws = {}
+    for path in _DISTINCT_PATHS:
+        head = tuple(Seed(7).child(*path).rng().integers(0, 2**63, 4))
+        assert head not in draws, f"{path} repeats the stream of {draws.get(head)}"
+        draws[head] = path
+    assert len(draws) == len(set(_DISTINCT_PATHS))
+
+
+def test_str_and_int_keys_differ_at_every_level():
+    for prefix in ((), ("mc",), ("usd", 1)):
+        as_int = Seed(5).child(*prefix, 3).rng().random(4)
+        as_str = Seed(5).child(*prefix, "3").rng().random(4)
+        assert not np.array_equal(as_int, as_str)
+
+
+def test_the_counter_collision_of_flat_offsets_is_gone():
+    # A flat (master, index) counter made Seed(7, 1000).derive(1000) and
+    # Seed(7, 2000).derive(0) the same stream.
+    a = Seed(7).child(1000, 1000).rng().random(4)
+    b = Seed(7).child(2000, 0).rng().random(4)
+    assert not np.array_equal(a, b)
+
+
+def test_distinct_master_seeds_give_distinct_streams():
+    a = Seed(1).child("x").rng().random(4)
+    b = Seed(2).child("x").rng().random(4)
+    assert not np.array_equal(a, b)
 
 
 def test_states_are_immutable():

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,13 +46,15 @@ def test_click_probability_small_amplitude_approximation():
 
 def test_sample_click_pattern_vacuum_never_clicks():
     c = ModeCoherentState(np.zeros(5, dtype=complex), 0.0)
-    for k in range(20):
-        assert not sample_click_pattern(c, Seed(60, k)).any_click
+    rng = Seed(60).rng()
+    for _ in range(20):
+        assert not sample_click_pattern(c, rng).any_click
 
 
 def test_sample_click_pattern_bright_mode_nearly_always_clicks():
     c = ModeCoherentState.from_amplitudes([math.sqrt(50.0)])
-    hits = sum(sample_click_pattern(c, Seed(61, k)).clicks[0] for k in range(10_000))
+    rng = Seed(61).rng()
+    hits = sum(sample_click_pattern(c, rng).clicks[0] for _ in range(10_000))
     assert hits / 10_000 > 0.999
 
 
@@ -59,34 +63,36 @@ def test_sample_click_pattern_rates_match_probabilities():
     expected = 1 - math.exp(-0.25)
     trials = 100_000
     counts = np.zeros(4)
-    for t in range(trials):
-        counts += sample_click_pattern(c, Seed(62, t)).clicks
+    rng = Seed(62).rng()
+    for _ in range(trials):
+        counts += sample_click_pattern(c, rng).clicks
     sigma = math.sqrt(expected * (1 - expected) / trials)
     assert np.all(np.abs(counts / trials - expected) < 3 * sigma + 1e-12)
 
 
 def test_sampling_is_deterministic_per_seed():
-    c = map_state(random_state(6, Seed(63)), 1.4)
-    a = sample_click_pattern(c, Seed(64, 7))
-    b = sample_click_pattern(c, Seed(64, 7))
+    c = map_state(random_state(6, Seed(63).rng()), 1.4)
+    a = sample_click_pattern(c, Seed(64).child(7).rng())
+    b = sample_click_pattern(c, Seed(64).child(7).rng())
     np.testing.assert_array_equal(a.clicks, b.clicks)
-    ra = sample_photon_numbers(c, Seed(65, 7))
-    rb = sample_photon_numbers(c, Seed(65, 7))
+    ra = sample_photon_numbers(c, Seed(65).child(7).rng())
+    rb = sample_photon_numbers(c, Seed(65).child(7).rng())
     np.testing.assert_array_equal(ra.counts, rb.counts)
 
 
 def test_sample_photon_numbers_vacuum():
     c = ModeCoherentState(np.zeros(3, dtype=complex), 0.0)
-    rec = sample_photon_numbers(c, Seed(66))
+    rec = sample_photon_numbers(c, Seed(66).rng())
     assert rec.total == 0
     np.testing.assert_array_equal(rec.counts, [0, 0, 0])
 
 
 def test_sample_photon_numbers_total_mean():
     # the total is Poisson(|alpha|^2) regardless of the state
-    c = map_state(random_state(5, Seed(67)), 1.0)
+    c = map_state(random_state(5, Seed(67).rng()), 1.0)
     trials = 100_000
-    total = sum(sample_photon_numbers(c, Seed(68, t)).total for t in range(trials))
+    rng = Seed(68).rng()
+    total = sum(sample_photon_numbers(c, rng).total for _ in range(trials))
     sigma = math.sqrt(1.0 / trials)
     assert abs(total / trials - 1.0) < 3 * sigma
 
@@ -95,8 +101,9 @@ def test_sample_photon_numbers_per_mode_means():
     c = map_state(uniform_state(2), math.sqrt(2.0))  # per-mode mean 1
     trials = 40_000
     sums = np.zeros(2)
-    for t in range(trials):
-        sums += sample_photon_numbers(c, Seed(69, t)).counts
+    rng = Seed(69).rng()
+    for _ in range(trials):
+        sums += sample_photon_numbers(c, rng).counts
     sigma = math.sqrt(1.0 / trials)
     assert np.all(np.abs(sums / trials - 1.0) < 4 * sigma)
 
@@ -145,12 +152,34 @@ def test_multinomial_oracle_two_photons_balanced():
 
 
 def test_multinomial_oracle_normalization():
-    for k in range(5):
-        d = int(Seed(70, k).rng().integers(2, 9))
-        psi = random_state(d, Seed(71, k))
+    rng = Seed(70).rng()
+    for _ in range(5):
+        d = int(rng.integers(2, 9))
+        psi = random_state(d, rng)
         for n in (2, 5, 8):
             dist = multinomial_oracle(psi, n)
             assert abs(sum(dist.values()) - 1.0) < 1e-12
+
+
+def test_multinomial_oracle_large_n_matches_the_binomial_pmf():
+    # An exact n! coefficient times a float overflowed here; the log-space
+    # record probability must match C(n, k) / 2^n wherever that is a normal float.
+    n = 2000
+    dist = multinomial_oracle(normalized([1.0, 1.0]), n)
+    assert len(dist) == n + 1
+    for k in range(n + 1):
+        exact = float(Fraction(math.comb(n, k), 2**n))
+        if exact >= sys.float_info.min:
+            assert math.isclose(dist[(k, n - k)], exact, rel_tol=1e-9)
+        else:
+            assert dist[(k, n - k)] < 2 * sys.float_info.min
+    assert sum(dist.values()) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_multinomial_oracle_zero_probability_mode():
+    dist = multinomial_oracle(basis_state(3, 2), 4)
+    assert dist[(0, 4, 0)] == 1.0
+    assert sum(dist.values()) == 1.0
 
 
 def test_multinomial_oracle_cap():
@@ -185,8 +214,9 @@ def all_records_up_to(d: int, total: int):
 
 
 def test_product_poisson_equals_poisson_mixture_exactly():
-    for k, d in enumerate((2, 3, 4)):
-        psi = random_state(d, Seed(72, k))
+    rng = Seed(72).rng()
+    for d in (2, 3, 4):
+        psi = random_state(d, rng)
         for mu in (0.5, 2.0, 4.0):
             c = map_state(psi, math.sqrt(mu))
             mixtures = {
@@ -200,16 +230,17 @@ def test_product_poisson_equals_poisson_mixture_exactly():
 
 
 def test_poissonized_oracle_zero_mean():
-    rec = poissonized_repetition_oracle(uniform_state(4), 0.0, Seed(73))
+    rec = poissonized_repetition_oracle(uniform_state(4), 0.0, Seed(73).rng())
     assert rec.total == 0
 
 
 def test_poissonized_oracle_single_mode_total_mean():
     trials = 20_000
     mu = 2.5
+    rng = Seed(74).rng()
     total = sum(
-        poissonized_repetition_oracle(basis_state(1, 1), mu, Seed(74, t)).total
-        for t in range(trials)
+        poissonized_repetition_oracle(basis_state(1, 1), mu, rng).total
+        for _ in range(trials)
     )
     sigma = math.sqrt(mu / trials)
     assert abs(total / trials - mu) < 3 * sigma
@@ -217,8 +248,8 @@ def test_poissonized_oracle_single_mode_total_mean():
 
 def empirical_distribution(sampler, trials):
     tally: dict[tuple, int] = {}
-    for t in range(trials):
-        key = tuple(sampler(t).counts.tolist())
+    for _ in range(trials):
+        key = tuple(sampler().counts.tolist())
         tally[key] = tally.get(key, 0) + 1
     return {k: v / trials for k, v in tally.items()}
 
@@ -229,11 +260,13 @@ def test_both_samplers_match_the_exact_law_in_total_variation():
     c = map_state(psi, math.sqrt(mu))
     trials = 300_000
 
+    direct_rng = Seed(75).rng()
+    poissonized_rng = Seed(76).rng()
     emp_direct = empirical_distribution(
-        lambda t: sample_photon_numbers(c, Seed(75, t)), trials
+        lambda: sample_photon_numbers(c, direct_rng), trials
     )
     emp_poissonized = empirical_distribution(
-        lambda t: poissonized_repetition_oracle(psi, mu, Seed(76, t)), trials
+        lambda: poissonized_repetition_oracle(psi, mu, poissonized_rng), trials
     )
 
     for emp in (emp_direct, emp_poissonized):
@@ -280,7 +313,8 @@ def test_thresholded_counts_reproduce_click_statistics():
     probs = click_probabilities(c)
     trials = 30_000
     rates = np.zeros(2)
-    for t in range(trials):
-        rates += sample_photon_numbers(c, Seed(77, t)).as_clicks().clicks
+    rng = Seed(77).rng()
+    for _ in range(trials):
+        rates += sample_photon_numbers(c, rng).as_clicks().clicks
     sigma = np.sqrt(probs * (1 - probs) / trials)
     assert np.all(np.abs(rates / trials - probs) < 4 * sigma)

@@ -85,8 +85,9 @@ def test_bob_unitary_two_modes_is_hadamard():
 
 
 def test_bob_unitary_is_unitary_for_random_matchings():
-    for k, n in enumerate((4, 8, 16, 32)):
-        m = random_matching(n, Seed(101, k).rng())
+    rng = Seed(101).rng()
+    for n in (4, 8, 16, 32):
+        m = random_matching(n, rng)
         u = bob_unitary(m)
         deviation = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(n)))
         assert deviation <= 1e-10
@@ -170,7 +171,7 @@ def test_exhaustive_small_sizes_only_correct_ports_lit():
 
 def test_randomized_midsize_instances_never_answer_wrong():
     for k, n in enumerate((10, 12, 14, 16)):
-        stats = run_experiment(n, None, None, math.sqrt(2.0), 3_000, Seed(110, k))
+        stats = run_experiment(n, None, None, math.sqrt(2.0), 3_000, Seed(110).child(k))
         assert stats.conclusive_wrong == 0
 
 
@@ -236,6 +237,28 @@ def test_run_experiment_is_deterministic_per_seed():
     a = run_experiment(8, None, None, 1.5, 500, Seed(108))
     b = run_experiment(8, None, None, 1.5, 500, Seed(108))
     assert a == b
+
+
+@pytest.mark.parametrize("trials", [1, 10, 1_000])
+def test_run_experiment_makes_at_most_two_generators(monkeypatch, trials):
+    # One stream for the set-up draws and one for all trials, at any trial count.
+    calls = []
+    rng = Seed.rng
+    monkeypatch.setattr(Seed, "rng", lambda self: calls.append(self.path) or rng(self))
+    stats = run_experiment(8, None, None, 1.5, trials, Seed(114))
+    assert stats.trials == trials
+    assert len(calls) <= 2
+    assert len(set(calls)) == len(calls)
+
+
+def test_run_experiment_setup_and_trial_streams_are_separate():
+    # Drawing the matching and x from the set-up stream must not shift the
+    # trials: fixing them to the drawn values gives the same tally.
+    drawn = run_experiment(8, None, None, 1.5, 2_000, Seed(115))
+    fixed = run_experiment(
+        8, Matching.parse(drawn.matching), drawn.x, 1.5, 2_000, Seed(115)
+    )
+    assert fixed == drawn
 
 
 def test_run_experiment_validates_inputs():

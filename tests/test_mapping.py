@@ -69,8 +69,9 @@ def test_phase_encoded_state_matches_map_state():
 
 
 def test_map_unitary_identity():
-    c = map_state(random_state(5, Seed(40)), 1.3)
-    eye = random_unitary(5, Seed(41))
+    rng = Seed(40).rng()
+    c = map_state(random_state(5, rng), 1.3)
+    eye = random_unitary(5, rng)
     out = map_unitary_apply(eye, c)
     assert out.mean_photon_number == pytest.approx(c.mean_photon_number, abs=1e-9)
 
@@ -91,10 +92,11 @@ def test_balanced_beam_splitter_output_amplitudes():
 
 
 def test_map_and_apply_commute():
-    for k in range(10):
-        d = int(Seed(42, k).rng().integers(2, 20))
-        psi = random_state(d, Seed(43, k))
-        u = random_unitary(d, Seed(44, k))
+    rng = Seed(42).rng()
+    for _ in range(10):
+        d = int(rng.integers(2, 20))
+        psi = random_state(d, rng)
+        u = random_unitary(d, rng)
         alpha = 1.0 + 0.5j
         left = map_unitary_apply(u, map_state(psi, alpha))
         right = map_state(apply_unitary(u, psi), alpha)
@@ -134,10 +136,11 @@ def test_overlap_half_with_four_photons():
 
 
 def test_overlap_matches_per_mode_product_for_random_pairs():
-    for k in range(30):
-        d = int(Seed(50, k).rng().integers(2, 65))
-        psi = random_state(d, Seed(51, k))
-        phi = random_state(d, Seed(52, k))
+    rng = Seed(50).rng()
+    for _ in range(30):
+        d = int(rng.integers(2, 65))
+        psi = random_state(d, rng)
+        phi = random_state(d, rng)
         delta = complex(np.vdot(psi.amplitudes, phi.amplitudes))
         for mu in (0.25, 1.0, 4.0, 10.0):
             alpha = math.sqrt(mu)

@@ -23,22 +23,22 @@ from cohsim.qds import _usd_probabilities
 
 
 def test_keygen_is_deterministic():
-    a = keygen(64, Seed(120))
-    b = keygen(64, Seed(120))
+    a = keygen(64, Seed(120).rng())
+    b = keygen(64, Seed(120).rng())
     np.testing.assert_array_equal(a.k0, b.k0)
     np.testing.assert_array_equal(a.k1, b.k1)
 
 
 def test_keygen_bits_are_balanced():
-    keys = keygen(10_000, Seed(121))
+    keys = keygen(10_000, Seed(121).rng())
     for k in (keys.k0, keys.k1):
         freq = k.mean()
         assert abs(freq - 0.5) < 3 * math.sqrt(0.25 / 10_000)
 
 
 def test_independent_keys_disagree_on_half_the_bits():
-    a = keygen(10_000, Seed(122)).k0
-    b = keygen(10_000, Seed(123)).k0
+    a = keygen(10_000, Seed(122).rng()).k0
+    b = keygen(10_000, Seed(123).rng()).k0
     distance = np.count_nonzero(a ^ b)
     assert abs(distance - 5_000) < 3 * math.sqrt(10_000 * 0.25)
 
@@ -84,7 +84,7 @@ def test_split_zero_state():
 
 def test_usd_zero_reference_all_inconclusive():
     c = ModeCoherentState(np.zeros(16, dtype=complex), 0.0)
-    rec = usd_measure(c, 0.0, Seed(130))
+    rec = usd_measure(c, 0.0, Seed(130).rng())
     assert rec.tested == 0
 
 
@@ -94,19 +94,20 @@ def test_usd_conclusive_rate_half():
     n = 10_000
     amps = np.full(n, beta, dtype=complex)
     c = ModeCoherentState.from_amplitudes(amps)
-    rec = usd_measure(c, beta, Seed(131))
+    rec = usd_measure(c, beta, Seed(131).rng())
     assert abs(rec.unambiguous_fraction - 0.5) < 3 * math.sqrt(0.25 / n)
 
 
 def test_usd_honest_runs_never_err_exhaustively():
     # every key of every length up to 10: conclusive outcomes match the sign
     beta = 0.4
+    rng = Seed(132).rng()
     for n in range(1, 11):
-        for k, bits in enumerate(itertools.product((0, 1), repeat=n)):
+        for bits in itertools.product((0, 1), repeat=n):
             key = np.array(bits, dtype=np.uint8)
             signs = 1 - 2 * key.astype(np.int8)
             c = ModeCoherentState.from_amplitudes(signs * beta)
-            rec = usd_measure(c, beta, Seed(132, k + (1 << n)))
+            rec = usd_measure(c, beta, rng)
             conclusive = rec.outcomes != 0
             assert np.all(rec.outcomes[conclusive] == signs[conclusive])
 
@@ -136,6 +137,16 @@ def test_usd_tampered_bright_plus_state_biases_plus():
     assert p_plus[0] + p_minus[0] <= 1.0
 
 
+
+@pytest.mark.parametrize("beta", [1e-9, 30.0])
+def test_usd_probabilities_stay_finite_at_extreme_references(beta):
+    # Large amplitudes overflowed exp(beta * gamma), and a tiny beta made the
+    # normalisation 0/0; both returned nan, so every mode read inconclusive.
+    p_plus, p_minus = _usd_probabilities(np.array([beta, -beta], dtype=complex), beta)
+    rate = -math.expm1(-2.0 * beta * beta)
+    np.testing.assert_allclose(p_plus, [rate, 0.0], rtol=1e-6, atol=1e-12)
+    np.testing.assert_allclose(p_minus, [0.0, rate], rtol=1e-6, atol=1e-12)
+
 def test_usd_record_validation():
     with pytest.raises(ValueError):
         UsdRecord(np.array([2, 0], dtype=np.int8))
@@ -155,8 +166,9 @@ def test_usd_record_validation():
 def test_equality_test_identical_states_never_abort():
     c = phase_encoded_state("010011", 3.0)
     a, b = split(c)
-    for k in range(50):
-        report = equality_test(a, b, 0.01, Seed(133, k))
+    rng = Seed(133).rng()
+    for _ in range(50):
+        report = equality_test(a, b, 0.01, rng)
         assert report.neq_clicks == 0
         assert not report.aborted
 
@@ -172,7 +184,7 @@ def test_equality_test_single_sign_flip_click_rate():
     w = -u
     a = ModeCoherentState.from_amplitudes(u)
     b = ModeCoherentState.from_amplitudes(w)
-    report = equality_test(a, b, 0.5, Seed(134))
+    report = equality_test(a, b, 0.5, Seed(134).rng())
     p = -math.expm1(-2 * beta * beta)
     assert abs(report.neq_clicks / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
@@ -186,8 +198,9 @@ def test_equality_test_opposite_keys_expected_neq_clicks():
     sb = split(phase_encoded_state("1" * n, alpha))[0]
     runs = 400
     clicks = 0
-    for k in range(runs):
-        clicks += equality_test(sa, sb, 0.99, Seed(135, k)).neq_clicks
+    rng = Seed(135).rng()
+    for _ in range(runs):
+        clicks += equality_test(sa, sb, 0.99, rng).neq_clicks
     p = -math.expm1(-alpha_sq / n)
     expected = n * p  # = 18.13 clicks per run
     assert expected == pytest.approx(18.1269, abs=1e-3)
@@ -198,9 +211,9 @@ def test_equality_test_opposite_keys_expected_neq_clicks():
 def test_equality_test_validates_fraction():
     c = phase_encoded_state("01", 1.0)
     with pytest.raises(ValueError):
-        equality_test(c, c, 0.0, Seed(136))
+        equality_test(c, c, 0.0, Seed(136).rng())
     with pytest.raises(ValueError):
-        equality_test(c, c, 1.0, Seed(136))
+        equality_test(c, c, 1.0, Seed(136).rng())
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +288,7 @@ def test_config_validation():
 def test_honest_run_accepts_with_zero_mismatches():
     config = QdsConfig(n=512, alpha_sq=9.0)
     for k in range(25):
-        t = run_qds(config, Seed(138, k))
+        t = run_qds(config, Seed(138).child(k))
         assert not t.aborted
         assert t.bob_verdict.mismatches == 0
         assert t.charlie_verdict.mismatches == 0
@@ -301,7 +314,7 @@ def test_flip_tamper_is_rejected_by_bob():
     rejections = 0
     runs = 200
     for k in range(runs):
-        t = run_qds(config, Seed(140, k))
+        t = run_qds(config, Seed(140).child(k))
         assert not t.aborted  # distribution is honest, only the reveal lies
         if not t.bob_verdict.accept:
             rejections += 1
@@ -313,7 +326,7 @@ def test_repudiation_aborts_at_the_equality_test():
         n=512, alpha_sq=36.0,
         tamper_model="repudiation", tamper_params={"fraction": 0.2},
     )
-    aborts = sum(run_qds(config, Seed(141, k)).aborted for k in range(200))
+    aborts = sum(run_qds(config, Seed(141).child(k)).aborted for k in range(200))
     assert aborts / 200 > 0.97
 
 
@@ -322,7 +335,7 @@ def test_conclusive_fraction_matches_closed_form():
     tested = 0
     runs = 300
     for k in range(runs):
-        t = run_qds(config, Seed(142, k))
+        t = run_qds(config, Seed(142).child(k))
         usd_bob_b0 = next(
             r for r in t.records
             if r.stage == "usd" and r.data["recipient"] == "bob" and r.data["key_bit"] == 0
@@ -350,3 +363,43 @@ def test_run_is_deterministic_per_seed():
     a = run_qds(config, Seed(143))
     b = run_qds(config, Seed(143))
     assert a.records == b.records
+
+
+def test_runs_and_stages_draw_from_pairwise_distinct_streams(monkeypatch):
+    # Flat offsets made the USD stream of run k the keygen stream of run k + 2.
+    streams = []
+    rng = Seed.rng
+    monkeypatch.setattr(Seed, "rng", lambda self: streams.append(self) or rng(self))
+    config = QdsConfig(n=16, alpha_sq=9.0)
+    for run in range(4):
+        run_qds(config, Seed(144).child(run))
+    assert len(streams) == 4 * 8  # keygen, tamper, four USD, two equality tests
+    assert len(set(streams)) == len(streams)
+    heads = {tuple(rng(s).integers(0, 2**63, 4)) for s in streams}
+    assert len(heads) == len(streams)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 512.5), ("n", "512"), ("n", True), ("n", None),
+        ("message_bit", 1.0), ("message_bit", False),
+        ("alpha_sq", "9"), ("alpha_sq", math.inf), ("alpha_sq", math.nan), ("alpha_sq", True),
+        ("f", [0.01]), ("f", math.nan), ("s_a", None), ("s_v", math.inf),
+        ("tamper_params", []), ("tamper_params", "fraction"),
+    ],
+)
+def test_config_fields_are_type_checked(field, value):
+    with pytest.raises(TypeError, match=field):
+        QdsConfig.from_dict({field: value})
+
+
+@pytest.mark.parametrize("fraction", ["0.2", True, None, [0.2], math.nan])
+def test_tamper_fraction_must_be_a_number(fraction):
+    with pytest.raises(ValueError, match="fraction"):
+        QdsConfig(tamper_model="repudiation", tamper_params={"fraction": fraction})
+
+
+def test_config_accepts_integer_valued_reals():
+    config = QdsConfig.from_dict({"n": 8, "alpha_sq": 9, "s_a": 0, "tamper_params": {}})
+    assert config.alpha_sq == 9 and config.s_a == 0
