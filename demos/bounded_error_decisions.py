@@ -53,7 +53,8 @@ mu, rep = chosen
 print()
 print(f"Monte Carlo at the first holding budget (mu = {mu}):")
 click = -np.expm1(-mu * probs)
-generator = two_block_trial_generator(d0, float(click[0]), d1, float(click[-1]))
-mc = estimate_success_probability(generator, partition, 20_000, Seed(21))
+# each trial is one (C_0, C_1) pair of Binomial counts, not a 40,000-mode pattern
+sampler = two_block_trial_generator(d0, float(click[0]), d1, float(click[-1]))
+mc = estimate_success_probability(sampler, 20_000, Seed(21))
 print(f"  guaranteed success >= {rep.p_alpha_lower_bound:.4f}")
 print(f"  observed p_hat     =  {mc.p_hat:.4f} +- {mc.ci95:.4f} (ties = {mc.ties})")

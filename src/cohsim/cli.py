@@ -48,7 +48,8 @@ def _emit(args, command: str, params: dict, columns: list[str], rows: list[list]
     else:
         doc = {
             "command": command,
-            "seed": getattr(args, "seed", None),
+            # qds may read its seed from the config file; its params hold the one used.
+            "seed": params.get("seed", getattr(args, "seed", None)),
             "parameters": {k: _json_value(v) for k, v in params.items()},
             "columns": columns,
             "rows": [[_json_value(v) for v in row] for row in rows],
@@ -222,7 +223,9 @@ def _cmd_thm_check(args):
             ]
         )
 
-    # Bounded-error success condition plus Monte Carlo cross-validation.
+    # Bounded-error success condition plus Monte Carlo cross-validation: the
+    # click counts of a uniform block are Binomial, so each trial is one
+    # sampled (C_0, C_1) pair, drawn in blocks from the stream ("mc", i).
     for i, (p_s, eps, mu, d0, d1) in enumerate(_CONDITION_INSTANCES):
         probs = _uniform_block_probs(p_s, d0, d1)
         partition = commx.leading_block_partition(d0, d1)
@@ -230,13 +233,10 @@ def _cmd_thm_check(args):
         p_hat = ""
         ci95 = ""
         if report.holds:
+            # With d1 = 0 the last mode is in S_0; Binomial(0, p) is 0 for any p.
             click = -np.expm1(-mu * probs)
-            generator = commx.two_block_trial_generator(
-                d0, float(click[0]), d1, float(click[-1]) if d1 else 0.0
-            )
-            mc = commx.estimate_success_probability(
-                generator, partition, args.trials, seed.child("mc", i)
-            )
+            sampler = commx.two_block_trial_generator(d0, float(click[0]), d1, float(click[-1]))
+            mc = commx.estimate_success_probability(sampler, args.trials, seed.child("mc", i))
             p_hat = mc.p_hat
             ci95 = mc.ci95
         rows.append(

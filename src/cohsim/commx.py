@@ -5,7 +5,7 @@ translation, into counting clicks over two disjoint sets of modes S_0 and S_1
 and picking the set with more clicks.  Each click count is a Poisson-binomial
 random variable; this module provides
 
-* the click-count decision rule (:func:`decide`),
+* the click-count decision rule on one click pattern (:func:`decide`),
 * exact Poisson-binomial pmfs (:func:`poisson_binomial_exact`),
 * Le Cam's Poisson-approximation bound
   |Pr(C in A) - Pr(L in A)| <= min(1, 1/mu) * sum_k p_k^2
@@ -13,7 +13,8 @@ random variable; this module provides
 * a sufficient condition for the translated protocol to keep the original
   bounded error (:func:`check_success_condition`), and
 * seeded Monte Carlo estimation of the success probability
-  (:func:`estimate_success_probability`).
+  Pr(C_0 > C_1) from blocks of sampled click-count pairs
+  (:func:`estimate_success_probability`, :func:`two_block_trial_generator`).
 """
 
 from __future__ import annotations
@@ -46,21 +47,22 @@ class OutcomePartition:
     s1: frozenset[int]
 
     def __post_init__(self) -> None:
-        s0 = frozenset(int(k) for k in self.s0)
-        s1 = frozenset(int(k) for k in self.s1)
-        if s0 & s1:
-            raise ValueError(f"mode sets overlap: {sorted(s0 & s1)}")
-        if any(k < 1 for k in s0 | s1):
+        # Sorted int labels; int64 truncates like int(), so drop the repeats that makes.
+        labels = [np.sort(np.fromiter(s, dtype=np.int64, count=len(s))) for s in (self.s0, self.s1)]
+        labels = [a[np.diff(a, prepend=a[:1] - 1) != 0] for a in labels]
+        overlap = np.intersect1d(*labels, assume_unique=True)
+        if overlap.size:
+            raise ValueError(f"mode sets overlap: {overlap.tolist()}")
+        if any(a.size and a[0] < 1 for a in labels):
             raise ValueError("mode labels must be >= 1")
-        object.__setattr__(self, "s0", s0)
-        object.__setattr__(self, "s1", s1)
-        i0 = np.array(sorted(s0), dtype=np.int64) - 1
-        i1 = np.array(sorted(s1), dtype=np.int64) - 1
+        i0, i1 = (a - 1 for a in labels)
         i0.setflags(write=False)
         i1.setflags(write=False)
+        object.__setattr__(self, "s0", frozenset(labels[0].tolist()))
+        object.__setattr__(self, "s1", frozenset(labels[1].tolist()))
         object.__setattr__(self, "_i0", i0)
         object.__setattr__(self, "_i1", i1)
-        object.__setattr__(self, "_max_label", max(max(s0, default=0), max(s1, default=0)))
+        object.__setattr__(self, "_max_label", int(np.concatenate(labels).max(initial=0)))
 
     def indices(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based array positions for each set (cached at construction)."""
@@ -78,18 +80,21 @@ def click_counts(pattern: ClickPattern, partition: OutcomePartition) -> tuple[in
     return int(pattern.clicks[i0].sum()), int(pattern.clicks[i1].sum())
 
 
+def _compare(c0, c1):
+    """sign(c0 - c1) per trial: +1 is the success event C_0 > C_1, 0 a tie."""
+    return np.sign(np.subtract(c0, c1, dtype=np.int64))
+
+
+_OUTCOME_BY_SIGN = {1: Outcome.ZERO, -1: Outcome.ONE, 0: Outcome.TIE}
+
+
 def decide(pattern: ClickPattern, partition: OutcomePartition) -> Outcome:
     """More clicks in S_0 means ZERO, more in S_1 means ONE, equal means TIE.
 
-    Tie resolution (including the all-vacuum pattern) is caller policy; see
-    :func:`estimate_success_probability`.
+    Tie resolution (including the all-vacuum pattern) is caller policy;
+    :func:`estimate_success_probability` counts ties as failures.
     """
-    c0, c1 = click_counts(pattern, partition)
-    if c0 > c1:
-        return Outcome.ZERO
-    if c1 > c0:
-        return Outcome.ONE
-    return Outcome.TIE
+    return _OUTCOME_BY_SIGN[int(_compare(*click_counts(pattern, partition)))]
 
 
 @dataclass(frozen=True)
@@ -280,33 +285,25 @@ def check_success_condition(
 
 def leading_block_partition(d0: int, d1: int) -> OutcomePartition:
     """S_0 = modes 1..d0, S_1 = modes d0+1..d0+d1."""
-    return OutcomePartition(
-        frozenset(range(1, d0 + 1)), frozenset(range(d0 + 1, d0 + d1 + 1))
-    )
+    return OutcomePartition(range(1, d0 + 1), range(d0 + 1, d0 + d1 + 1))
 
 
 def two_block_trial_generator(
     d0: int, p_click_0: float, d1: int, p_click_1: float
-) -> Callable[[np.random.Generator], ClickPattern]:
-    """Trial generator for uniform click probability within each mode block.
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Click-count sampler for uniform click probability within each mode block.
 
     Per-set click counts of d independent Bernoulli modes with a common p are
-    Binomial(d, p), so sampling the two counts and filling that many leading
-    positions of each block reproduces the exact decision statistics of the
-    full product-Bernoulli pattern (positions within a block are
-    exchangeable for count-based decisions).
+    Binomial(d, p), and a count-based decision sees nothing else of the
+    pattern.  The sampler maps ``(rng, size)`` to the int array of
+    ``(c0, c1)`` rows, shape ``(size, 2)``, from one interleaved binomial
+    draw that numpy fills in C order: row t is the same at any block size.
     """
-    d = d0 + d1
 
-    def generate(rng: np.random.Generator) -> ClickPattern:
-        clicks = np.zeros(d, dtype=bool)
-        if d0:
-            clicks[: rng.binomial(d0, p_click_0)] = True
-        if d1:
-            clicks[d0 : d0 + rng.binomial(d1, p_click_1)] = True
-        return ClickPattern(clicks)
+    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.binomial([d0, d1], [p_click_0, p_click_1], size=(size, 2))
 
-    return generate
+    return sample
 
 
 @dataclass(frozen=True)
@@ -318,41 +315,39 @@ class McEstimate:
     ties: int
 
 
+# Trials drawn per sampler call: 2^16 rows of two int64 counts is 1 MiB.
+_BLOCK_TRIALS = 1 << 16
+
+
 def estimate_success_probability(
-    trial_generator: Callable[[np.random.Generator], ClickPattern],
-    partition: OutcomePartition,
+    sampler: Callable[[np.random.Generator, int], np.ndarray],
     trials: int,
     seed: Seed,
-    tie_policy: str = "failure",
 ) -> McEstimate:
-    """Monte Carlo success frequency of the click-count decision rule.
+    """Monte Carlo frequency of the success event C_0 > C_1.
 
-    All trials share the one generator ``seed.rng()``, drawn from in trial
-    order.  ``trial_generator`` receives it and must return the click pattern
-    of one protocol run whose correct answer is the S_0 outcome; a trial
-    succeeds when :func:`decide` returns ZERO.  Ties count as failures by
-    default ("failure"), matching the strict Pr(C_0 > C_1) success event;
-    policy "coin" resolves each tie with a fair coin flip from the same
-    generator instead.
+    ``sampler(rng, size)`` returns the click counts of ``size`` protocol runs
+    whose correct answer is the S_0 outcome, as an int array of ``(c0, c1)``
+    rows (see :func:`two_block_trial_generator`).  All trials come from the
+    one generator ``seed.rng()``, in trial order, in blocks of at most
+    ``_BLOCK_TRIALS``.  A trial succeeds when :func:`decide` would say ZERO;
+    ties, vacuum included, count as failures and are reported.
 
     Returns the success frequency and its Wald 95% half-width.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if tie_policy not in ("failure", "coin"):
-        raise ValueError(f"unknown tie policy {tie_policy!r}")
     rng = seed.rng()
-    successes = 0
-    ties = 0
-    for _ in range(trials):
-        pattern = trial_generator(rng)
-        outcome = decide(pattern, partition)
-        if outcome is Outcome.TIE:
-            ties += 1
-            if tie_policy == "coin":
-                outcome = Outcome.ZERO if rng.random() < 0.5 else Outcome.ONE
-        if outcome is Outcome.ZERO:
-            successes += 1
+    tally = np.zeros(3, dtype=np.int64)  # trials with sign(c0 - c1) = -1, 0, +1
+    for start in range(0, trials, _BLOCK_TRIALS):
+        size = min(_BLOCK_TRIALS, trials - start)
+        counts = np.asarray(sampler(rng, size))
+        if counts.shape != (size, 2) or not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError(f"sampler gave {counts.dtype} {counts.shape}, want int {(size, 2)}")
+        if counts.min() < 0:
+            raise ValueError("sampler gave negative click counts")
+        tally += np.bincount(_compare(counts[:, 0], counts[:, 1]) + 1, minlength=3)
+    successes, ties = int(tally[2]), int(tally[1])
     p_hat = successes / trials
     ci95 = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return McEstimate(p_hat=p_hat, ci95=ci95, trials=trials, successes=successes, ties=ties)

@@ -187,12 +187,10 @@ def test_criterion_5_success_condition_soundness():
             continue
         holding += 1
         click = -np.expm1(-mu * probs)
-        generator = two_block_trial_generator(
+        sampler = two_block_trial_generator(
             d0, float(click[0]), d1, float(click[-1]) if d1 else 0.0
         )
-        mc = estimate_success_probability(
-            generator, partition, 100_000, Seed(1030).child(i), tie_policy="failure"
-        )
+        mc = estimate_success_probability(sampler, 100_000, Seed(1030).child(i))
         assert mc.p_hat >= 1.0 - eps - 3.0 * mc.ci95
     assert holding >= 3
 

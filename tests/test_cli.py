@@ -255,6 +255,20 @@ def test_qds_json_output_validates(capsys, tmp_path):
     jsonschema.validate(json.loads(out_file.read_text()), load_schema())
 
 
+@pytest.mark.parametrize("override, used", [(None, 5), ("9", 9)])
+def test_qds_json_reports_the_seed_it_ran_with(capsys, tmp_path, override, used):
+    # the seed comes from the config file unless --seed overrides it
+    path = write_config(tmp_path, seed=5, trials=1)
+    argv = ["qds", "--config", str(path), "--format", "json"]
+    if override is not None:
+        argv += ["--seed", override]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["seed"] == used
+    assert doc["parameters"]["seed"] == used
+
+
 def test_unknown_subcommand_is_validation_error(capsys):
     assert cli.main(["frobnicate"]) == 1
 

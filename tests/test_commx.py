@@ -21,6 +21,7 @@ from cohsim import (
     two_block_trial_generator,
     uniform_state,
 )
+from cohsim import commx
 from cohsim.commx import _poisson_pmf
 from cohsim.mapping import ModeCoherentState
 
@@ -309,43 +310,33 @@ def test_holding_instance_exact_success_exceeds_lower_bound():
 # ---------------------------------------------------------------------------
 
 
-def test_mc_always_correct_generator():
-    def generator(rng):
-        return pattern(1, 1, 0, 0)
+def constant_counts(c0, c1):
+    """A sampler whose every trial has the click counts (c0, c1)."""
+    return lambda rng, size: np.tile(np.array([c0, c1], dtype=np.int64), (size, 1))
 
-    est = estimate_success_probability(generator, PART_2_2, 500, Seed(85))
+
+def test_mc_always_correct_generator():
+    est = estimate_success_probability(constant_counts(2, 0), 500, Seed(85))
     assert est.p_hat == 1.0
 
 
 def test_mc_vacuum_with_ties_as_failure():
-    def generator(rng):
-        return pattern(0, 0, 0, 0)
-
-    est = estimate_success_probability(generator, PART_2_2, 500, Seed(86))
+    est = estimate_success_probability(constant_counts(0, 0), 500, Seed(86))
     assert est.p_hat == 0.0
     assert est.ties == 500
-
-
-def test_mc_vacuum_with_coin_ties():
-    def generator(rng):
-        return pattern(0, 0, 0, 0)
-
-    est = estimate_success_probability(
-        generator, PART_2_2, 20_000, Seed(87), tie_policy="coin"
-    )
-    assert abs(est.p_hat - 0.5) < 3 * math.sqrt(0.25 / 20_000)
 
 
 def test_mc_conclusive_rate_generator():
     # a zero-error protocol that is conclusive with probability 1 - e^{-3}
     p_conclusive = -math.expm1(-3.0)
-    part = OutcomePartition(frozenset({1}), frozenset({2}))
 
-    def generator(rng):
-        return ClickPattern(np.array([rng.random() < p_conclusive, False]))
+    def sampler(rng, size):
+        counts = np.zeros((size, 2), dtype=np.int64)
+        counts[:, 0] = rng.random(size) < p_conclusive
+        return counts
 
     trials = 20_000
-    est = estimate_success_probability(generator, part, trials, Seed(88))
+    est = estimate_success_probability(sampler, trials, Seed(88))
     sigma = math.sqrt(p_conclusive * (1 - p_conclusive) / trials)
     assert abs(est.p_hat - p_conclusive) < 3 * sigma
 
@@ -354,34 +345,101 @@ def test_mc_draws_every_trial_from_one_generator(monkeypatch):
     seen = []
     rng = Seed.rng
     monkeypatch.setattr(Seed, "rng", lambda self: seen.append(self) or rng(self))
+    sample = constant_counts(2, 0)
 
-    def generator(rng):
+    def sampler(rng, size):
         seen.append(rng)
-        return pattern(1, 1, 0, 0)
+        return sample(rng, size)
 
-    estimate_success_probability(generator, PART_2_2, 100, Seed(91))
+    estimate_success_probability(sampler, 100, Seed(91))
+    # 100 trials fit one block: one Seed.rng call, then one sampler call
     assert seen[0] == Seed(91)
-    assert len(seen) == 101 and all(g is seen[1] for g in seen[1:])
+    assert len(seen) == 2 and isinstance(seen[1], np.random.Generator)
+
+
+def test_mc_makes_one_generator_per_estimate_at_any_block_size(monkeypatch):
+    calls = []
+    rng = Seed.rng
+    monkeypatch.setattr(Seed, "rng", lambda self: calls.append(self) or rng(self))
+    sampler = two_block_trial_generator(5, 0.3, 5, 0.2)
+    for block in (1, 7, 1 << 16):
+        monkeypatch.setattr(commx, "_BLOCK_TRIALS", block)
+        calls.clear()
+        estimate_success_probability(sampler, 100, Seed(92))
+        assert calls == [Seed(92)]
 
 
 def test_mc_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        estimate_success_probability(lambda rng: pattern(1, 0, 0, 0), PART_2_2, 0, Seed(89))
-    with pytest.raises(ValueError):
-        estimate_success_probability(
-            lambda rng: pattern(1, 0, 0, 0), PART_2_2, 10, Seed(89), tie_policy="retry"
-        )
+        estimate_success_probability(constant_counts(1, 0), 0, Seed(89))
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        lambda rng, size: np.zeros((size, 3), dtype=np.int64),
+        lambda rng, size: np.zeros(2 * size, dtype=np.int64),
+        lambda rng, size: np.zeros((size + 1, 2), dtype=np.int64),
+        lambda rng, size: np.zeros((size, 2)),
+        constant_counts(-1, 0),
+        constant_counts(3, -2),
+    ],
+    ids=["three-columns", "flat", "extra-row", "float", "negative-c0", "negative-c1"],
+)
+def test_mc_rejects_malformed_sampler_output(sampler):
+    with pytest.raises(ValueError, match="sampler"):
+        estimate_success_probability(sampler, 10, Seed(89))
+
+
+def test_mc_estimate_does_not_depend_on_the_block_size(monkeypatch):
+    sampler = two_block_trial_generator(50, 0.2, 60, 0.15)
+    trials = 5_000
+    reference = estimate_success_probability(sampler, trials, Seed(93))
+    for block in (1, 7, trials + 1):
+        monkeypatch.setattr(commx, "_BLOCK_TRIALS", block)
+        assert estimate_success_probability(sampler, trials, Seed(93)) == reference
+
+
+def test_two_block_sampler_rows_do_not_depend_on_the_split():
+    sampler = two_block_trial_generator(50, 0.2, 60, 0.15)
+    whole = sampler(Seed(94).rng(), 1_000)
+    rng = Seed(94).rng()
+    pieces = np.concatenate([sampler(rng, size) for size in (1, 2, 3, 64, 930)])
+    np.testing.assert_array_equal(pieces, whole)
+
+
+def test_mc_matches_exact_win_and_tie_probabilities():
+    # the counts are Binomial(50, 0.2) and Binomial(60, 0.15): P(C0 > C1)
+    # and P(C0 = C1) are exact sums over the pmf of C1
+    d0, p0, d1, p1 = 50, 0.2, 60, 0.15
+    ks = np.arange(d1 + 1)
+    pmf1 = binom.pmf(ks, d1, p1)
+    win = float(np.sum(pmf1 * binom.sf(ks, d0, p0)))
+    tie = float(np.sum(pmf1 * binom.pmf(ks, d0, p0)))
+    trials = 200_000
+    est = estimate_success_probability(
+        two_block_trial_generator(d0, p0, d1, p1), trials, Seed(95)
+    )
+    for observed, exact in ((est.p_hat, win), (est.ties / trials, tie)):
+        assert abs(observed - exact) < 5 * math.sqrt(exact * (1 - exact) / trials)
 
 
 def test_two_block_generator_count_distribution():
     gen = two_block_trial_generator(50, 0.2, 30, 0.1)
-    part = leading_block_partition(50, 30)
-    rng = Seed(90).rng()
-    c0_sum = c1_sum = 0
     trials = 20_000
-    for _ in range(trials):
-        c0, c1 = click_counts(gen(rng), part)
-        c0_sum += c0
-        c1_sum += c1
+    counts = gen(Seed(90).rng(), trials)
+    assert counts.shape == (trials, 2)
+    c0_sum, c1_sum = counts.sum(axis=0)
     assert abs(c0_sum / trials - 10.0) < 3 * math.sqrt(50 * 0.2 * 0.8 / trials)
     assert abs(c1_sum / trials - 3.0) < 3 * math.sqrt(30 * 0.1 * 0.9 / trials)
+
+
+def test_decide_agrees_with_the_estimator_success_event():
+    # decide's ZERO on a pattern with counts (c0, c1) is the estimator's success
+    part = leading_block_partition(3, 3)
+    for c0 in range(4):
+        for c1 in range(4):
+            bits = [1] * c0 + [0] * (3 - c0) + [1] * c1 + [0] * (3 - c1)
+            est = estimate_success_probability(constant_counts(c0, c1), 1, Seed(96))
+            assert (decide(pattern(*bits), part) is Outcome.ZERO) == (est.successes == 1)
+            assert (decide(pattern(*bits), part) is Outcome.TIE) == (est.ties == 1)
