@@ -113,7 +113,7 @@ def parse_bits(bits) -> np.ndarray:
             raise ValueError(f"bit string must be non-empty over {{0,1}}: {bits!r}")
         return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     arr = np.atleast_1d(np.asarray(bits))
-    if arr.size < 1 or not np.all(np.isin(arr, (0, 1))):
+    if arr.size < 1 or not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bits must be a non-empty sequence of 0/1 values")
     return arr.astype(np.uint8)
 

@@ -24,7 +24,9 @@ Everything is ideal (lossless optics, perfect detectors, shared phase
 reference), so honest runs abort never and verify with zero mismatches.
 Tampering is modeled explicitly: ``flip_revealed`` corrupts a fraction of
 the revealed key bits, ``repudiation`` makes Alice send Charlie states that
-differ from Bob's in a fraction of the modes.
+differ from Bob's in a fraction of the modes.  ``run_qds`` evaluates the optics
+once per amplitude level; ``split``, ``usd_measure`` and ``equality_test`` take
+arbitrary states.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ class UsdRecord:
 
     def __post_init__(self) -> None:
         arr = np.atleast_1d(np.asarray(self.outcomes, dtype=np.int8))
-        if arr.ndim != 1 or arr.size < 1 or not np.all(np.isin(arr, (-1, 0, 1))):
+        if arr.ndim != 1 or arr.size < 1 or arr.min() < -1 or arr.max() > 1:
             raise ValueError("outcomes must be a non-empty vector over {-1, 0, 1}")
         arr.setflags(write=False)
         object.__setattr__(self, "outcomes", arr)
@@ -133,6 +135,9 @@ def _usd_probabilities(amps: np.ndarray, beta: float) -> tuple[np.ndarray, np.nd
     reduces to the optimal conclusive rate 1 - s with zero error; for tampered
     amplitudes it is the projection of |gamma> onto the same measurement.
     """
+    norm = -math.expm1(-2.0 * beta * beta)
+    if norm == 0.0:  # beta^2 is 0: identical hypotheses, every outcome inconclusive
+        return np.zeros(amps.shape), np.zeros(amps.shape)
     s = math.exp(-2.0 * beta * beta)
     # For gamma = x + iy, <+-beta|gamma> has modulus exp(-((beta -+ x)^2 + y^2)/2),
     # at most 1, and phase +-beta*y: real arithmetic only, and nothing overflows.
@@ -141,7 +146,7 @@ def _usd_probabilities(amps: np.ndarray, beta: float) -> tuple[np.ndarray, np.nd
     mod_plus = np.exp(-((beta - x) ** 2 + y_sq) / 2.0)
     mod_minus = np.exp(-((beta + x) ** 2 + y_sq) / 2.0)
     cos_sq = np.cos(beta * amps.imag) ** 2
-    norm = -math.expm1(-2.0 * beta * beta) * (1.0 + s) ** 2
+    norm *= (1.0 + s) ** 2
 
     def prob(a, b):  # |a e^{i beta y} - s b e^{-i beta y}|^2 / norm
         return ((a - s * b) ** 2 * cos_sq + (a + s * b) ** 2 * (1.0 - cos_sq)) / norm
@@ -162,11 +167,13 @@ def usd_measure(
     beta = float(reference_magnitude)
     if beta < 0.0:
         raise ValueError("reference magnitude must be non-negative")
-    if beta == 0.0:
-        return UsdRecord(np.zeros(c.dim, dtype=np.int8))
-    p_plus, p_minus = _usd_probabilities(c.mode_amplitudes, beta)
-    u = rng.random(c.dim)
-    outcomes = np.zeros(c.dim, dtype=np.int8)
+    return _usd_draw(*_usd_probabilities(c.mode_amplitudes, beta), rng)
+
+
+def _usd_draw(p_plus: np.ndarray, p_minus: np.ndarray, rng: np.random.Generator) -> UsdRecord:
+    """Per-mode USD outcomes from the conclusive probabilities: one uniform per mode."""
+    u = rng.random(p_plus.size)
+    outcomes = np.zeros(p_plus.size, dtype=np.int8)
     outcomes[u < p_plus] = UsdOutcome.UNAMBIGUOUS_PLUS
     outcomes[(u >= p_plus) & (u < p_plus + p_minus)] = UsdOutcome.UNAMBIGUOUS_MINUS
     return UsdRecord(outcomes)
@@ -196,11 +203,18 @@ def equality_test(
         raise ValueError("states must have the same number of modes")
     if not 0.0 < float(f) < 1.0:
         raise ValueError("abort fraction f must lie in (0, 1)")
-    eq_amps, neq_amps = beam_splitter(b.mode_amplitudes, c.mode_amplitudes)
-    p_eq = -np.expm1(-np.abs(eq_amps) ** 2)
-    p_neq = -np.expm1(-np.abs(neq_amps) ** 2)
-    eq_clicks = int((rng.random(b.dim) < p_eq).sum())
-    neq_clicks = int((rng.random(b.dim) < p_neq).sum())
+    return _equality_draw(*_click_probabilities(b.mode_amplitudes, c.mode_amplitudes), f, rng)
+
+
+def _click_probabilities(u, w) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold-detector click probabilities 1 - e^{-|a|^2} at the EQ and NEQ ports."""
+    return tuple(-np.expm1(-np.abs(port) ** 2) for port in beam_splitter(u, w))
+
+
+def _equality_draw(p_eq, p_neq, f: float, rng: np.random.Generator) -> EqualityTestReport:
+    """Tally per-mode EQ clicks, then NEQ clicks, and abort above the NEQ share f."""
+    eq_clicks = int(np.count_nonzero(rng.random(p_eq.size) < p_eq))
+    neq_clicks = int(np.count_nonzero(rng.random(p_neq.size) < p_neq))
     total = eq_clicks + neq_clicks
     fraction = neq_clicks / total if total > 0 else 0.0
     return EqualityTestReport(
@@ -340,8 +354,10 @@ def _flip_mask(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
 def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
     """Execute distribution, symmetrization, and messaging for one run.
 
-    Every stage draws from its own named stream under ``seed``: "keygen",
-    "tamper", ("usd", b, recipient) and ("equality", b).
+    The optics and measurement laws are evaluated once per amplitude level
+    and looked up per mode by key bit.  Every stage draws from its own named
+    stream under ``seed``: "keygen", "tamper", ("usd", b, recipient) and
+    ("equality", b).
     """
     n = config.n
     alpha = math.sqrt(config.alpha_sq)
@@ -357,47 +373,40 @@ def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
         frac = float(config.tamper_params["fraction"])
         repudiation_masks = {b: _flip_mask(n, frac, tamper_rng) for b in (0, 1)}
 
-    usd_records: dict[tuple[str, int], UsdRecord] = {}
-    shared_copies: dict[tuple[str, int], ModeCoherentState] = {}
+    # Column k: the amplitude phase_encoded_state sends for key bit k, then split.
+    kept, shared = beam_splitter(np.array([1.0, -1.0]) * (complex(alpha) / math.sqrt(n)), 0.0)
+    usd_table = np.array(_usd_probabilities(kept, beta))
+    # Column 2 * Bob's bit + Charlie's bit.
+    eq_table = np.array(_click_probabilities(shared[:, None], shared[None, :])).reshape(2, 4)
 
+    distribution = {"alpha_sq": config.alpha_sq, "usd_reference_magnitude": beta}
+    records.append(StageRecord("distribution", distribution))
+    usd_records: dict[tuple[str, int], UsdRecord] = {}
+    pair_index = {}
     for b in (0, 1):
-        received = {
-            "bob": phase_encoded_state(keys.key(b), alpha),
-            "charlie": phase_encoded_state(keys.key(b) ^ repudiation_masks[b], alpha),
-        }
-        for who, state in received.items():
-            kept, shared = split(state)
-            shared_copies[(who, b)] = shared
+        bob = keys.key(b).astype(np.intp)
+        received = {"bob": bob, "charlie": bob ^ repudiation_masks[b]}
+        for who, bits in received.items():
             usd_rng = seed.child("usd", b, who).rng()
-            usd_records[(who, b)] = usd_measure(kept, beta, usd_rng)
-    records.append(
-        StageRecord(
-            "distribution",
-            {"alpha_sq": config.alpha_sq, "usd_reference_magnitude": beta},
-        )
-    )
-    for (who, b), rec in usd_records.items():
-        records.append(
-            StageRecord(
-                "usd",
-                {
-                    "recipient": who,
-                    "key_bit": b,
-                    "tested": rec.tested,
-                    "plus": int(np.count_nonzero(rec.outcomes == 1)),
-                    "minus": int(np.count_nonzero(rec.outcomes == -1)),
-                },
+            usd_records[(who, b)] = rec = _usd_draw(*usd_table.take(bits, axis=1), usd_rng)
+            records.append(
+                StageRecord(
+                    "usd",
+                    {
+                        "recipient": who,
+                        "key_bit": b,
+                        "tested": rec.tested,
+                        "plus": int(np.count_nonzero(rec.outcomes == 1)),
+                        "minus": int(np.count_nonzero(rec.outcomes == -1)),
+                    },
+                )
             )
-        )
+        pair_index[b] = 2 * bob + received["charlie"]
 
     aborted = False
     for b in (0, 1):
-        report = equality_test(
-            shared_copies[("bob", b)],
-            shared_copies[("charlie", b)],
-            config.f,
-            seed.child("equality", b).rng(),
-        )
+        eq_rng = seed.child("equality", b).rng()
+        report = _equality_draw(*eq_table.take(pair_index[b], axis=1), config.f, eq_rng)
         aborted = aborted or report.aborted
         records.append(
             StageRecord(

@@ -220,6 +220,15 @@ def test_qds_tamper_config_rejects(capsys, tmp_path):
     assert all(r[3] == "false" for r in bob)
 
 
+def test_qds_vanishing_reference_magnitude_exits_zero(capsys, tmp_path):
+    # alpha_sq / (2n) underflows to 0: every USD outcome is inconclusive, nothing is nan
+    path = write_config(tmp_path, n=4, alpha_sq=5e-324, trials=1)
+    code, out, _ = run_cli(capsys, "qds", "--config", str(path))
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r[3] for r in rows if r[1] == "usd" and r[2] == "tested"] == ["0"] * 4
+
+
 def test_qds_threshold_misorder_is_validation_error(capsys, tmp_path):
     path = write_config(tmp_path, s_a=0.05, s_v=0.05)
     code, _, err = run_cli(capsys, "qds", "--config", str(path))

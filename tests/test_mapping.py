@@ -14,6 +14,7 @@ from cohsim import (
     map_unitary_apply,
     normalized,
     overlap_coherent,
+    parse_bits,
     phase_encoded_state,
     poisson_tail_bound,
     random_state,
@@ -66,6 +67,25 @@ def test_phase_encoded_state_matches_map_state():
     via_map = map_state(psi, 1.7)
     direct = phase_encoded_state("0101", 1.7)
     np.testing.assert_allclose(direct.mode_amplitudes, via_map.mode_amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "bits", ["0110", [0, 1, 1, 0], [0.0, 1.0, 1.0, 0.0], [False, True, True, False],
+             np.array([0, 1, 1, 0], dtype=object)],
+)
+def test_parse_bits_accepts_zeros_and_ones(bits):
+    out = parse_bits(bits)
+    assert out.dtype == np.uint8
+    np.testing.assert_array_equal(out, [0, 1, 1, 0])
+
+
+@pytest.mark.parametrize(
+    "bits", ["", "012", [], [0, 2], [0.5], [-1], np.array(["0", "1"]),
+             np.array([None, 1], dtype=object), [np.nan]],
+)
+def test_parse_bits_rejects_anything_else(bits):
+    with pytest.raises(ValueError, match="bit"):
+        parse_bits(bits)
 
 
 def test_map_unitary_identity():

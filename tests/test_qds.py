@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,12 +15,13 @@ from cohsim import (
     equality_test,
     keygen,
     phase_encoded_state,
+    qds,
     run_qds,
     split,
     usd_measure,
     verify_message,
 )
-from cohsim.qds import _usd_probabilities
+from cohsim.qds import StageRecord, _flip_mask, _usd_probabilities
 
 
 def test_keygen_is_deterministic():
@@ -147,9 +149,11 @@ def test_usd_probabilities_stay_finite_at_extreme_references(beta):
     np.testing.assert_allclose(p_plus, [rate, 0.0], rtol=1e-6, atol=1e-12)
     np.testing.assert_allclose(p_minus, [0.0, rate], rtol=1e-6, atol=1e-12)
 
+
 def test_usd_record_validation():
-    with pytest.raises(ValueError):
-        UsdRecord(np.array([2, 0], dtype=np.int8))
+    for outcomes in ([2, 0], [2], [-2]):
+        with pytest.raises(ValueError, match="outcomes must be"):
+            UsdRecord(np.array(outcomes, dtype=np.int8))
     rec = UsdRecord(np.array([1, -1, 0], dtype=np.int8))
     assert rec.tested == 2
     assert rec.unambiguous_fraction == pytest.approx(2 / 3)
@@ -403,3 +407,90 @@ def test_tamper_fraction_must_be_a_number(fraction):
 def test_config_accepts_integer_valued_reals():
     config = QdsConfig.from_dict({"n": 8, "alpha_sq": 9, "s_a": 0, "tamper_params": {}})
     assert config.alpha_sq == 9 and config.s_a == 0
+
+
+def _reference_run(config, seed):
+    """Records of run_qds, mode by mode through the library's general state path.
+
+    Every stage draws from the same named stream as run_qds, so the two must
+    agree exactly.
+    """
+    n, b_msg = config.n, config.message_bit
+    alpha = math.sqrt(config.alpha_sq)
+    beta = math.sqrt(config.alpha_sq / (2.0 * n))
+    keys = keygen(n, seed.child("keygen").rng())
+    tamper_rng = seed.child("tamper").rng()
+    fraction = config.tamper_params.get("fraction")
+    masks = {0: 0, 1: 0}
+    if config.tamper_model == "repudiation":
+        masks = {b: _flip_mask(n, fraction, tamper_rng) for b in (0, 1)}
+    records = [
+        StageRecord("keygen", {"n": n}),
+        StageRecord("distribution", {"alpha_sq": config.alpha_sq, "usd_reference_magnitude": beta}),
+    ]
+    usd, shared = {}, {}
+    for b in (0, 1):
+        for who, bits in (("bob", keys.key(b)), ("charlie", keys.key(b) ^ masks[b])):
+            kept, shared[who, b] = split(phase_encoded_state(bits, alpha))
+            rec = usd[who, b] = usd_measure(kept, beta, seed.child("usd", b, who).rng())
+            counts = {"tested": rec.tested, "plus": int(np.sum(rec.outcomes == 1)),
+                      "minus": int(np.sum(rec.outcomes == -1))}
+            records.append(StageRecord("usd", {"recipient": who, "key_bit": b, **counts}))
+    aborted = False
+    for b in (0, 1):
+        rng = seed.child("equality", b).rng()
+        report = equality_test(shared["bob", b], shared["charlie", b], config.f, rng)
+        aborted = aborted or report.aborted
+        records.append(StageRecord("equality_test", {
+            "key_bit": b, "neq_clicks": report.neq_clicks, "total_clicks": report.total_clicks,
+            "neq_fraction": report.neq_fraction, "aborted": report.aborted,
+        }))
+    if aborted:
+        return records + [StageRecord("messaging", {"skipped": True, "reason": "aborted"})]
+    revealed = keys.key(b_msg)
+    flipped = np.zeros(n, dtype=np.uint8)
+    if config.tamper_model == "flip_revealed":
+        flipped = _flip_mask(n, fraction, tamper_rng)
+    records.append(StageRecord("reveal", {"message_bit": b_msg, "flipped_bits": int(flipped.sum())}))
+    roles = (("bob", config.s_a, VerificationRole.AUTHENTICATION),
+             ("charlie", config.s_v, VerificationRole.VERIFICATION))
+    for who, threshold, role in roles:
+        v = verify_message(revealed ^ flipped, usd[who, b_msg], threshold, role)
+        records.append(StageRecord(role.value, {
+            "recipient": who, "mismatches": v.mismatches, "tested": v.tested,
+            "fraction": v.fraction, "threshold": v.threshold, "accept": v.accept,
+        }))
+    return records
+
+
+@pytest.mark.parametrize("tamper_model", ["none", "flip_revealed", "repudiation"])
+@pytest.mark.parametrize("n", [1, 2, 17, 512])
+def test_run_qds_matches_the_per_mode_reference(n, tamper_model):
+    params = {} if tamper_model == "none" else {"fraction": 0.2}
+    for k, alpha_sq in enumerate((0.5, 9.0, 36.0, 400.0)):
+        config = QdsConfig(
+            n=n, alpha_sq=alpha_sq, f=0.05, message_bit=k % 2,
+            tamper_model=tamper_model, tamper_params=params,
+        )
+        seed = Seed(150).child(n, tamper_model, k)
+        assert list(run_qds(config, seed).records) == _reference_run(config, seed)
+
+
+def test_run_qds_evaluates_the_usd_law_on_amplitude_levels(monkeypatch):
+    sizes = []
+    law = qds._usd_probabilities
+    monkeypatch.setattr(
+        qds, "_usd_probabilities", lambda amps, beta: sizes.append(amps.size) or law(amps, beta)
+    )
+    t = run_qds(QdsConfig(n=4096, alpha_sq=9.0), Seed(151))
+    assert sizes and max(sizes) <= 2
+    assert t.accepted_by_both
+
+
+def test_vanishing_reference_magnitude_is_inconclusive_without_warnings():
+    # alpha_sq / (2n) underflows to 0, so beta = 0 and the USD law would be 0/0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = run_qds(QdsConfig(n=4, alpha_sq=5e-324), Seed(0))
+    usd = [r.data for r in t.records if r.stage == "usd"]
+    assert len(usd) == 4 and all(d["tested"] == 0 for d in usd)
