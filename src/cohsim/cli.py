@@ -114,17 +114,9 @@ def _cmd_dim_bound(args):
         bound = mapping.effective_dimension_bound(mu, args.delta, d)
         # log2 d = 0 at d = 1 leaves the ratio undefined: a blank cell.
         ratio = bound.log2_d_alpha_upper / math.log2(d) if d > 1 else ""
-        rows.append(
-            [
-                d,
-                args.mu,
-                args.delta,
-                bound.log2_d_alpha_upper,
-                ratio,
-                bound.tail_probability_upper,
-                bound.d_alpha_upper,
-            ]
-        )
+        exact = "" if bound.d_alpha_upper is None else bound.d_alpha_upper
+        rows.append([d, args.mu, args.delta, bound.log2_d_alpha_upper, ratio,
+                     bound.tail_probability_upper, exact])
     params = {"mu": args.mu, "delta": args.delta, "d": args.d}
     columns = [
         "d", "mu", "delta", "log2_d_alpha_upper", "ratio_vs_log2_d",

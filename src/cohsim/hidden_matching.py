@@ -131,11 +131,6 @@ class TrialStats:
         """Closed form: all output ports dark at once, e^{-|alpha|^2}."""
         return math.exp(-self.alpha_sq)
 
-    @property
-    def inconclusive_ci95(self) -> float:
-        q = self.inconclusive_rate
-        return 1.96 * math.sqrt(q * (1.0 - q) / self.trials)
-
 
 def run_experiment(
     n: int,

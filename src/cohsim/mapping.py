@@ -193,18 +193,20 @@ class DimensionBound:
     """Effective-dimension certificate for a photon-number window of half-width delta.
 
     ``d_alpha_upper`` bounds the dimension of the span of Fock states over d
-    modes whose total photon number lies within delta of the mean, and
+    modes whose total photon number lies within delta of the mean.  It is the
+    exact integer while its log2 is below 53, so any JSON reader holds it
+    exactly, and None above, where ``log2_d_alpha_upper`` carries the bound.
     ``tail_probability_upper`` bounds the probability of falling outside that
     window.
     """
 
     delta: int
-    d_alpha_upper: int
+    d_alpha_upper: int | None
     log2_d_alpha_upper: float
     tail_probability_upper: float
 
     def __post_init__(self) -> None:
-        if self.d_alpha_upper < 1:
+        if self.d_alpha_upper is not None and self.d_alpha_upper < 1:
             raise ValueError("d_alpha_upper must be at least 1")
         if not 0.0 <= self.tail_probability_upper <= 1.0:
             raise ValueError("tail_probability_upper must lie in [0, 1]")
@@ -235,10 +237,11 @@ def effective_dimension_bound(mu: float, delta: int, d: int) -> DimensionBound:
 
     n_top = math.floor(mu) + delta + d - 1
     k = d - 1
-    d_upper = 2 * delta * math.comb(n_top, k)
     log2_upper = math.log2(2 * delta) + (
         math.lgamma(n_top + 1) - math.lgamma(k + 1) - math.lgamma(n_top - k + 1)
     ) / math.log(2.0)
+    # The exact count can run to millions of digits; build it only when small.
+    d_upper = 2 * delta * math.comb(n_top, k) if log2_upper < 53.0 else None
     tail = poisson_tail_bound(mu, float(delta)) if mu > 0.0 else 0.0
     return DimensionBound(
         delta=delta,

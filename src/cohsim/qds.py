@@ -26,7 +26,8 @@ Tampering is modeled explicitly: ``flip_revealed`` corrupts a fraction of
 the revealed key bits, ``repudiation`` makes Alice send Charlie states that
 differ from Bob's in a fraction of the modes.  ``run_qds`` evaluates the optics
 once per amplitude level; ``split``, ``usd_measure`` and ``equality_test`` take
-arbitrary states.
+arbitrary states.  Detection draws are thinned per level: each USD or
+equality stage costs in proportion to its expected clicks, not to n.
 """
 
 from __future__ import annotations
@@ -140,7 +141,8 @@ def _usd_probabilities(amps: np.ndarray, beta: float) -> tuple[np.ndarray, np.nd
         return np.zeros(amps.shape), np.zeros(amps.shape)
     s = math.exp(-2.0 * beta * beta)
     # For gamma = x + iy, <+-beta|gamma> has modulus exp(-((beta -+ x)^2 + y^2)/2),
-    # at most 1, and phase +-beta*y: real arithmetic only, and nothing overflows.
+    # at most 1, and phase +-beta*y: real arithmetic only.  The squares stay
+    # finite while |beta -+ x| and |y| are below 1e154, far past QdsConfig's bound.
     # 1 - s^2 comes from expm1, which stays non-zero for every beta > 0.
     x, y_sq = amps.real, amps.imag**2
     mod_plus = np.exp(-((beta - x) ** 2 + y_sq) / 2.0)
@@ -167,15 +169,30 @@ def usd_measure(
     beta = float(reference_magnitude)
     if beta < 0.0:
         raise ValueError("reference magnitude must be non-negative")
-    return _usd_draw(*_usd_probabilities(c.mode_amplitudes, beta), rng)
+    table = np.array(_usd_probabilities(c.mode_amplitudes, beta))
+    return _usd_draw(table, np.arange(c.dim), rng)
 
 
-def _usd_draw(p_plus: np.ndarray, p_minus: np.ndarray, rng: np.random.Generator) -> UsdRecord:
-    """Per-mode USD outcomes from the conclusive probabilities: one uniform per mode."""
-    u = rng.random(p_plus.size)
-    outcomes = np.zeros(p_plus.size, dtype=np.int8)
-    outcomes[u < p_plus] = UsdOutcome.UNAMBIGUOUS_PLUS
-    outcomes[(u >= p_plus) & (u < p_plus + p_minus)] = UsdOutcome.UNAMBIGUOUS_MINUS
+def _sparse_events(q: np.ndarray, levels: np.ndarray, rng: np.random.Generator):
+    """Modes whose uniform falls below max(q), with those uniforms: exact thinning.
+
+    Mode i has event probability q[levels[i]].  Drawing one uniform per mode
+    and keeping those below q_max = max(q) is the same law as drawing
+    K ~ Binomial(n, q_max), then K distinct modes, then one uniform on
+    [0, q_max) for each, so a stage costs O(n q_max) draws instead of O(n).
+    """
+    q_max = min(float(q.max()), 1.0)
+    k = rng.binomial(levels.size, q_max)
+    modes = rng.choice(levels.size, k, replace=False, shuffle=False)
+    return modes, rng.random(k) * q_max
+
+
+def _usd_draw(table: np.ndarray, levels: np.ndarray, rng: np.random.Generator) -> UsdRecord:
+    """USD outcomes from the (P(+), P(-)) rows of table: u < P(+) is +1, u < P(+) + P(-) is -1."""
+    modes, u = _sparse_events(table.sum(axis=0), levels, rng)
+    p_plus, p_minus = table[:, levels[modes]]
+    outcomes = np.zeros(levels.size, dtype=np.int8)
+    outcomes[modes] = np.where(u < p_plus, 1, np.where(u < p_plus + p_minus, -1, 0))
     return UsdRecord(outcomes)
 
 
@@ -203,7 +220,8 @@ def equality_test(
         raise ValueError("states must have the same number of modes")
     if not 0.0 < float(f) < 1.0:
         raise ValueError("abort fraction f must lie in (0, 1)")
-    return _equality_draw(*_click_probabilities(b.mode_amplitudes, c.mode_amplitudes), f, rng)
+    table = np.array(_click_probabilities(b.mode_amplitudes, c.mode_amplitudes))
+    return _equality_draw(table, np.arange(b.dim), f, rng)
 
 
 def _click_probabilities(u, w) -> tuple[np.ndarray, np.ndarray]:
@@ -211,10 +229,18 @@ def _click_probabilities(u, w) -> tuple[np.ndarray, np.ndarray]:
     return tuple(-np.expm1(-np.abs(port) ** 2) for port in beam_splitter(u, w))
 
 
-def _equality_draw(p_eq, p_neq, f: float, rng: np.random.Generator) -> EqualityTestReport:
-    """Tally per-mode EQ clicks, then NEQ clicks, and abort above the NEQ share f."""
-    eq_clicks = int(np.count_nonzero(rng.random(p_eq.size) < p_eq))
-    neq_clicks = int(np.count_nonzero(rng.random(p_neq.size) < p_neq))
+def _equality_draw(table, levels, f: float, rng: np.random.Generator) -> EqualityTestReport:
+    """Tally EQ and NEQ clicks from the (p_eq, p_neq) rows of table; abort above f.
+
+    The ports click independently, and one uniform u per mode carries both:
+    EQ below p_eq, NEQ on [a, a + p_neq) with a = p_eq (1 - p_neq).
+    """
+    p_eq, p_neq = table
+    modes, u = _sparse_events(p_eq * (1.0 - p_neq) + p_neq, levels, rng)
+    p_eq, p_neq = table[:, levels[modes]]
+    eq_only = p_eq * (1.0 - p_neq)
+    eq_clicks = int(np.count_nonzero(u < p_eq))
+    neq_clicks = int(np.count_nonzero((u >= eq_only) & (u < eq_only + p_neq)))
     total = eq_clicks + neq_clicks
     fraction = neq_clicks / total if total > 0 else 0.0
     return EqualityTestReport(
@@ -299,6 +325,10 @@ class QdsConfig:
             raise ValueError("n must be at least 1")
         if self.alpha_sq <= 0.0:
             raise ValueError("alpha_sq must be positive")
+        if self.alpha_sq / self.n > 1e16:
+            # Past this power per mode, rounding puts the sent amplitudes a
+            # resolvable distance from the USD reference +-beta.
+            raise ValueError("alpha_sq / n must be at most 1e16")
         if not 0.0 < self.f < 1.0:
             raise ValueError("f must lie in (0, 1)")
         if not 0.0 <= self.s_a < self.s_v < 1.0:
@@ -384,42 +414,22 @@ def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
     usd_records: dict[tuple[str, int], UsdRecord] = {}
     pair_index = {}
     for b in (0, 1):
-        bob = keys.key(b).astype(np.intp)
+        bob = keys.key(b)
         received = {"bob": bob, "charlie": bob ^ repudiation_masks[b]}
         for who, bits in received.items():
             usd_rng = seed.child("usd", b, who).rng()
-            usd_records[(who, b)] = rec = _usd_draw(*usd_table.take(bits, axis=1), usd_rng)
-            records.append(
-                StageRecord(
-                    "usd",
-                    {
-                        "recipient": who,
-                        "key_bit": b,
-                        "tested": rec.tested,
-                        "plus": int(np.count_nonzero(rec.outcomes == 1)),
-                        "minus": int(np.count_nonzero(rec.outcomes == -1)),
-                    },
-                )
-            )
+            usd_records[(who, b)] = rec = _usd_draw(usd_table, bits, usd_rng)
+            plus, minus = (int(np.count_nonzero(rec.outcomes == sign)) for sign in (1, -1))
+            counts = {"tested": rec.tested, "plus": plus, "minus": minus}
+            records.append(StageRecord("usd", {"recipient": who, "key_bit": b, **counts}))
         pair_index[b] = 2 * bob + received["charlie"]
 
     aborted = False
     for b in (0, 1):
         eq_rng = seed.child("equality", b).rng()
-        report = _equality_draw(*eq_table.take(pair_index[b], axis=1), config.f, eq_rng)
+        report = _equality_draw(eq_table, pair_index[b], config.f, eq_rng)
         aborted = aborted or report.aborted
-        records.append(
-            StageRecord(
-                "equality_test",
-                {
-                    "key_bit": b,
-                    "neq_clicks": report.neq_clicks,
-                    "total_clicks": report.total_clicks,
-                    "neq_fraction": report.neq_fraction,
-                    "aborted": report.aborted,
-                },
-            )
-        )
+        records.append(StageRecord("equality_test", {"key_bit": b, **vars(report)}))
 
     if aborted:
         records.append(StageRecord("messaging", {"skipped": True, "reason": "aborted"}))
@@ -443,17 +453,7 @@ def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
         revealed, usd_records[("charlie", b)], config.s_v, VerificationRole.VERIFICATION
     )
     for who, verdict in (("bob", bob_verdict), ("charlie", charlie_verdict)):
-        records.append(
-            StageRecord(
-                verdict.role.value,
-                {
-                    "recipient": who,
-                    "mismatches": verdict.mismatches,
-                    "tested": verdict.tested,
-                    "fraction": verdict.fraction,
-                    "threshold": verdict.threshold,
-                    "accept": verdict.accept,
-                },
-            )
-        )
+        tally = ("mismatches", "tested", "fraction", "threshold", "accept")
+        data = {"recipient": who, **{key: getattr(verdict, key) for key in tally}}
+        records.append(StageRecord(verdict.role.value, data))
     return QdsTranscript(tuple(records), False, bob_verdict, charlie_verdict)

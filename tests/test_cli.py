@@ -65,6 +65,17 @@ def test_dim_bound_ratio_column(capsys):
     assert all(r < 6.5 for r in ratios)
 
 
+def test_dim_bound_at_large_mu_and_d_emits_strict_json(capsys):
+    # The exact bound has about 36k digits, past Python's int-to-str limit.
+    code, out, err = run_cli(capsys, "dim-bound", "--mu", "1e6", "--d", "16384", "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out, parse_constant=_reject_constant)
+    jsonschema.validate(doc, load_schema())
+    (row,) = (dict(zip(doc["columns"], row)) for row in doc["rows"])
+    assert row["d_alpha_upper"] == ""
+    assert 1e5 < row["log2_d_alpha_upper"] < 1e6
+
+
 def test_dim_bound_json_is_strict_at_d_one(capsys):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
@@ -227,6 +238,21 @@ def test_qds_vanishing_reference_magnitude_exits_zero(capsys, tmp_path):
     assert code == 0
     _, rows = parse_csv(out)
     assert [r[3] for r in rows if r[1] == "usd" and r[2] == "tested"] == ["0"] * 4
+
+
+def test_qds_power_per_mode_past_double_resolution_exits_one(tmp_path):
+    # (beta + x)^2 overflowed here; under -W error that was an exit 2.
+    path = write_config(tmp_path, n=1, alpha_sq=1.7e308, trials=1)
+    src = str(Path(cohsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cohsim.cli",
+         "qds", "--config", str(path), "--format", "json"],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "alpha_sq" in result.stderr
 
 
 def test_qds_threshold_misorder_is_validation_error(capsys, tmp_path):

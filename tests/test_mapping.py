@@ -277,6 +277,14 @@ def test_effective_dimension_log2_matches_exact_integer():
         assert b.log2_d_alpha_upper == pytest.approx(math.log2(b.d_alpha_upper), rel=1e-12)
 
 
+def test_effective_dimension_bound_keeps_only_the_log_of_huge_counts():
+    b = effective_dimension_bound(1e6, 5, 16384)
+    assert b.d_alpha_upper is None
+    assert math.isfinite(b.log2_d_alpha_upper) and b.log2_d_alpha_upper > 1e5
+    assert effective_dimension_bound(1.0, 5, 256).d_alpha_upper < 2**53
+    assert effective_dimension_bound(1.0, 5, 4096).d_alpha_upper is None
+
+
 def test_effective_dimension_log2_grows_like_log2_d():
     ratios = []
     for exp in range(6, 13):

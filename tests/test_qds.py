@@ -21,7 +21,14 @@ from cohsim import (
     usd_measure,
     verify_message,
 )
-from cohsim.qds import StageRecord, _flip_mask, _usd_probabilities
+from cohsim.qds import (
+    StageRecord,
+    _click_probabilities,
+    _equality_draw,
+    _flip_mask,
+    _usd_draw,
+    _usd_probabilities,
+)
 
 
 def test_keygen_is_deterministic():
@@ -494,3 +501,122 @@ def test_vanishing_reference_magnitude_is_inconclusive_without_warnings():
         t = run_qds(QdsConfig(n=4, alpha_sq=5e-324), Seed(0))
     usd = [r.data for r in t.records if r.stage == "usd"]
     assert len(usd) == 4 and all(d["tested"] == 0 for d in usd)
+
+
+# ---------------------------------------------------------------------------
+# sparse detection draws against the one-uniform-per-mode law
+# ---------------------------------------------------------------------------
+
+
+def _dense_usd(table, levels, rng):
+    """The reference law: one uniform per mode, +1 below P(+), -1 up to P(+) + P(-)."""
+    p_plus, p_minus = table[:, levels]
+    u = rng.random(levels.size)
+    return np.where(u < p_plus, 1, np.where(u < p_plus + p_minus, -1, 0))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        # q_max = 0.5, with P = 0 entries on either side
+        [[0.3, 0.0, 0.25, 0.1, 0.0], [0.1, 0.5, 0.0, 0.15, 0.0]],
+        # q_max = 1
+        [[0.6, 0.0, 0.2], [0.4, 1.0, 0.1]],
+        # every mode dark
+        [[0.0, 0.0], [0.0, 0.0]],
+    ],
+)
+def test_sparse_usd_draw_has_the_per_mode_law(table):
+    table = np.array(table)
+    runs, per_level = 40, 500
+    levels = np.tile(np.arange(table.shape[1]), per_level).astype(np.uint8)
+    rng, dense_rng = Seed(170).rng(), Seed(171).rng()
+    sparse = np.array([_usd_draw(table, levels, rng).outcomes for _ in range(runs)])
+    dense = np.array([_dense_usd(table, levels, dense_rng) for _ in range(runs)])
+    samples = runs * per_level
+    for level, (p_plus, p_minus) in enumerate(table.T):
+        for sign, p in ((1, p_plus), (-1, p_minus)):
+            freqs = [np.count_nonzero(d[:, levels == level] == sign) / samples
+                     for d in (sparse, dense)]
+            sigma = math.sqrt(p * (1.0 - p) / samples)
+            assert abs(freqs[0] - p) <= 5.0 * sigma, (level, sign)
+            assert abs(freqs[0] - freqs[1]) <= 5.0 * math.sqrt(2.0) * sigma, (level, sign)
+
+
+@pytest.mark.parametrize(
+    "p_eq, p_neq",
+    [(0.35, 0.0), (0.0, 0.35), (0.3, 0.2), (1.0, 0.05), (0.0, 0.0)],
+)
+def test_sparse_equality_counts_are_binomial(p_eq, p_neq):
+    n, runs = 400, 300
+    table = np.array([[p_eq], [p_neq]])
+    rng = Seed(172).rng()
+    reports = [_equality_draw(table, np.zeros(n, dtype=np.uint8), 0.5, rng) for _ in range(runs)]
+    neq = np.array([r.neq_clicks for r in reports])
+    eq = np.array([r.total_clicks for r in reports]) - neq
+    for counts, p in ((eq, p_eq), (neq, p_neq)):
+        # Binomial(n, p): the mean of `runs` counts, and their variance
+        var = n * p * (1.0 - p)
+        assert abs(counts.mean() - n * p) <= 5.0 * math.sqrt(var / runs)
+        assert abs(counts.var() - var) <= 5.0 * math.sqrt(2.0 / (runs - 1)) * var + 1e-12
+    for r in reports:
+        assert r.aborted == (r.neq_fraction > 0.5)
+
+
+def test_run_qds_counts_are_binomial_in_the_dense_regime():
+    # n = 17 at |alpha|^2 = 9: about 41 % of the modes click in every stage.
+    n, alpha_sq, runs = 17, 9.0, 200
+    p = -math.expm1(-alpha_sq / n)  # USD rate 1 - e^{-2 beta^2}, also the EQ click rate
+    tested, eq_clicks = [], []
+    for k in range(runs):
+        t = run_qds(QdsConfig(n=n, alpha_sq=alpha_sq), Seed(173).child(k))
+        tested += [r.data["tested"] for r in t.records if r.stage == "usd"]
+        eq_clicks += [r.data["total_clicks"] for r in t.records if r.stage == "equality_test"]
+        assert t.accepted_by_both
+    for counts in (np.array(tested), np.array(eq_clicks)):
+        sigma = math.sqrt(n * p * (1.0 - p) / counts.size)
+        assert abs(counts.mean() - n * p) <= 5.0 * sigma
+
+
+class _RecordingGenerator:
+    """Forwards every draw to a Generator and records how many values it returned."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.sizes = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.sizes.append(int(np.size(out)))
+            return out
+
+        return draw
+
+
+def test_detection_draws_scale_with_clicks_not_modes():
+    n, alpha_sq = 65536, 9.0
+    key = keygen(n, Seed(174).rng()).k0
+    kept, shared = split(phase_encoded_state(key, math.sqrt(alpha_sq)))
+    beta = math.sqrt(alpha_sq / (2.0 * n))
+    modes = np.arange(n)
+    usd_rng = _RecordingGenerator(Seed(175).rng())
+    usd_table = np.array(_usd_probabilities(kept.mode_amplitudes, beta))
+    rec = _usd_draw(usd_table, modes, usd_rng)
+    eq_rng = _RecordingGenerator(Seed(176).rng())
+    eq_table = np.array(_click_probabilities(shared.mode_amplitudes, shared.mode_amplitudes))
+    report = _equality_draw(eq_table, modes, 0.01, eq_rng)
+    # About 9 clicks a stage are expected; each costs two draws.
+    assert usd_rng.sizes and eq_rng.sizes
+    assert sum(usd_rng.sizes) + sum(eq_rng.sizes) < n / 200
+    assert 0 < rec.tested and 0 < report.total_clicks and report.neq_clicks == 0
+
+
+def test_config_bounds_the_power_per_mode():
+    QdsConfig(n=2, alpha_sq=2e16)
+    with pytest.raises(ValueError, match="alpha_sq / n"):
+        QdsConfig(n=2, alpha_sq=2.1e16)
+    with pytest.raises(ValueError, match="alpha_sq / n"):
+        QdsConfig(n=1, alpha_sq=1.7e308)
