@@ -54,7 +54,7 @@ def _emit(args, command: str, params: dict, columns: list[str], rows: list[list]
             "columns": columns,
             "rows": [[_json_value(v) for v in row] for row in rows],
         }
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -3,8 +3,8 @@
 One signer (Alice) and two recipients (Bob, Charlie).  The protocol runs in
 six steps:
 
-1. Alice draws two uniform n-bit private keys k_0, k_1 and sends each
-   recipient the phase-encoded state of each key (mode i carries
+1. Alice draws two uniform n-bit private keys k_0, k_1 from random bytes and
+   sends each recipient the phase-encoded state of each key (mode i carries
    (-1)^{k_{b,i}} * alpha / sqrt(n)).
 2. Each recipient splits every received state on a balanced beam splitter,
    yielding two copies with amplitude reduced by sqrt(2).
@@ -26,8 +26,8 @@ Tampering is modeled explicitly: ``flip_revealed`` corrupts a fraction of
 the revealed key bits, ``repudiation`` makes Alice send Charlie states that
 differ from Bob's in a fraction of the modes.  ``run_qds`` evaluates the optics
 once per amplitude level; ``split``, ``usd_measure`` and ``equality_test`` take
-arbitrary states.  Detection draws are thinned per level: each USD or
-equality stage costs in proportion to its expected clicks, not to n.
+arbitrary states.  Draws are thinned per level and verification reads only the
+modes they touched: after key generation a run costs its clicks, not n.
 """
 
 from __future__ import annotations
@@ -68,13 +68,11 @@ class PrivateKeys:
 
 
 def keygen(n: int, rng: np.random.Generator) -> PrivateKeys:
-    """Two independent uniform n-bit strings."""
+    """Two independent uniform n-bit strings, unpacked from ceil(n / 8) random bytes each."""
     if n < 1:
         raise ValueError("key length must be at least 1")
-    return PrivateKeys(
-        rng.integers(0, 2, n).astype(np.uint8),
-        rng.integers(0, 2, n).astype(np.uint8),
-    )
+    draw = lambda: np.unpackbits(np.frombuffer(rng.bytes(-(-n // 8)), np.uint8), count=n)
+    return PrivateKeys(draw(), draw())
 
 
 def split(c: ModeCoherentState) -> tuple[ModeCoherentState, ModeCoherentState]:
@@ -187,12 +185,18 @@ def _sparse_events(q: np.ndarray, levels: np.ndarray, rng: np.random.Generator):
     return modes, rng.random(k) * q_max
 
 
-def _usd_draw(table: np.ndarray, levels: np.ndarray, rng: np.random.Generator) -> UsdRecord:
-    """USD outcomes from the (P(+), P(-)) rows of table: u < P(+) is +1, u < P(+) + P(-) is -1."""
+def _usd_events(table: np.ndarray, levels: np.ndarray, rng: np.random.Generator):
+    """(modes, signs) of the thinned draw: u < P(+) is +1, u < P(+) + P(-) is -1, else 0."""
     modes, u = _sparse_events(table.sum(axis=0), levels, rng)
     p_plus, p_minus = table[:, levels[modes]]
+    return modes, np.where(u < p_plus, 1, np.where(u < p_plus + p_minus, -1, 0)).astype(np.int8)
+
+
+def _usd_draw(table: np.ndarray, levels: np.ndarray, rng: np.random.Generator) -> UsdRecord:
+    """The per-mode record of :func:`_usd_events`."""
+    modes, signs = _usd_events(table, levels, rng)
     outcomes = np.zeros(levels.size, dtype=np.int8)
-    outcomes[modes] = np.where(u < p_plus, 1, np.where(u < p_plus + p_minus, -1, 0))
+    outcomes[modes] = signs
     return UsdRecord(outcomes)
 
 
@@ -280,9 +284,13 @@ def verify_message(
     key = parse_bits(revealed_key)
     if key.size != record.dim:
         raise ValueError("revealed key length does not match the record")
-    expected = (1 - 2 * key.astype(np.int8)).astype(np.int8)
-    conclusive = record.outcomes != 0
-    mismatches = int(np.count_nonzero(conclusive & (record.outcomes != expected)))
+    return _verdict(key, record.outcomes, threshold, role)
+
+
+def _verdict(key_bits, signs, threshold: float, role: VerificationRole) -> VerificationVerdict:
+    """Tally the non-zero signs that differ from (-1)^key_bits at the same positions."""
+    conclusive = signs != 0
+    mismatches = int(np.count_nonzero(conclusive & (signs != 1 - 2 * key_bits.astype(np.int8))))
     tested = int(np.count_nonzero(conclusive))
     fraction = mismatches / max(tested, 1)
     return VerificationVerdict(
@@ -411,16 +419,16 @@ def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
 
     distribution = {"alpha_sq": config.alpha_sq, "usd_reference_magnitude": beta}
     records.append(StageRecord("distribution", distribution))
-    usd_records: dict[tuple[str, int], UsdRecord] = {}
+    usd_events: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
     pair_index = {}
     for b in (0, 1):
         bob = keys.key(b)
         received = {"bob": bob, "charlie": bob ^ repudiation_masks[b]}
         for who, bits in received.items():
             usd_rng = seed.child("usd", b, who).rng()
-            usd_records[(who, b)] = rec = _usd_draw(usd_table, bits, usd_rng)
-            plus, minus = (int(np.count_nonzero(rec.outcomes == sign)) for sign in (1, -1))
-            counts = {"tested": rec.tested, "plus": plus, "minus": minus}
+            usd_events[(who, b)] = _, signs = _usd_events(usd_table, bits, usd_rng)
+            plus, minus = (int(np.count_nonzero(signs == sign)) for sign in (1, -1))
+            counts = {"tested": plus + minus, "plus": plus, "minus": minus}
             records.append(StageRecord("usd", {"recipient": who, "key_bit": b, **counts}))
         pair_index[b] = 2 * bob + received["charlie"]
 
@@ -436,24 +444,21 @@ def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
         return QdsTranscript(tuple(records), True, None, None)
 
     b = config.message_bit
-    revealed = keys.key(b).copy()
+    revealed = keys.key(b)
     flipped_bits = 0
     if config.tamper_model == "flip_revealed":
         mask = _flip_mask(n, float(config.tamper_params["fraction"]), tamper_rng)
         revealed = revealed ^ mask
         flipped_bits = int(mask.sum())
-    records.append(
-        StageRecord("reveal", {"message_bit": b, "flipped_bits": flipped_bits})
-    )
+    records.append(StageRecord("reveal", {"message_bit": b, "flipped_bits": flipped_bits}))
 
-    bob_verdict = verify_message(
-        revealed, usd_records[("bob", b)], config.s_a, VerificationRole.AUTHENTICATION
-    )
-    charlie_verdict = verify_message(
-        revealed, usd_records[("charlie", b)], config.s_v, VerificationRole.VERIFICATION
-    )
-    for who, verdict in (("bob", bob_verdict), ("charlie", charlie_verdict)):
+    verdicts = []
+    roles = (("bob", config.s_a, VerificationRole.AUTHENTICATION),
+             ("charlie", config.s_v, VerificationRole.VERIFICATION))
+    for who, threshold, role in roles:
+        modes, signs = usd_events[(who, b)]
+        verdicts.append(verdict := _verdict(revealed[modes], signs, threshold, role))
         tally = ("mismatches", "tested", "fraction", "threshold", "accept")
         data = {"recipient": who, **{key: getattr(verdict, key) for key in tally}}
-        records.append(StageRecord(verdict.role.value, data))
-    return QdsTranscript(tuple(records), False, bob_verdict, charlie_verdict)
+        records.append(StageRecord(role.value, data))
+    return QdsTranscript(tuple(records), False, *verdicts)

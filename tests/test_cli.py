@@ -455,7 +455,7 @@ _configs = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(config=_configs)
 def test_any_json_qds_config_exits_zero_or_one_with_finite_output(config):
     with tempfile.TemporaryDirectory() as tmp:
@@ -468,3 +468,119 @@ def test_any_json_qds_config_exits_zero_or_one_with_finite_output(config):
             doc = json.loads(out.read_text(), parse_constant=_reject_constant)
             cells = [v for row in doc["rows"] for v in row]
             assert all(math.isfinite(v) for v in cells if isinstance(v, float))
+
+
+def _run_to_json(argv):
+    """Exit code of an in-process CLI run, and its parsed strict-JSON document on exit 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        code = cli.main([*argv, "--format", "json", "--out", str(out)])
+        assert code in (0, 1)
+        if code != 0:
+            return code, None
+        doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    cells = [v for row in doc["rows"] for v in row]
+    assert all(math.isfinite(v) for v in cells if isinstance(v, float))
+    return code, doc
+
+
+_any_floats = st.floats(0.0, 1e308) | st.floats()
+
+
+@given(
+    mu=_any_floats,
+    delta=st.integers(-1, 10**6),
+    dims=st.lists(st.integers(-1, 2**20), max_size=4),
+)
+def test_any_dim_bound_exits_zero_or_one_with_finite_output(mu, delta, dims):
+    argv = ["dim-bound", "--mu", repr(mu), "--delta", str(delta), "--d", ",".join(map(str, dims))]
+    _run_to_json(argv)
+
+
+@given(
+    alpha_sq=_any_floats,
+    n=st.integers(-2, 12),
+    trials=st.integers(-1, 20),
+    seed=st.integers(-1, 2**64),
+)
+def test_any_hidden_matching_exits_zero_or_one_with_finite_output(alpha_sq, n, trials, seed):
+    argv = ["hidden-matching", "--n", str(n), "--alpha-sq", repr(alpha_sq),
+            "--trials", str(trials), "--seed", str(seed)]
+    code, doc = _run_to_json(argv)
+    if code == 0:
+        assert dict(zip(doc["columns"], doc["rows"][0]))["wrong"] == 0
+
+
+@pytest.mark.parametrize("alpha_sq", ["1e7", "1e12"])
+@pytest.mark.parametrize("n", ["6", "2048"])
+def test_hidden_matching_at_large_power_has_no_wrong_outcomes(capsys, alpha_sq, n):
+    # The power check was absolute, so rounding alone refused these states.
+    code, out, err = run_cli(
+        capsys, "hidden-matching", "--n", n, "--alpha-sq", alpha_sq, "--trials", "200", "--seed", "3"
+    )
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert (row["correct"], row["wrong"]) == ("200", "0")
+
+
+def test_dim_bound_at_huge_mu_exits_promptly_with_blank_exact_cells():
+    # math.comb of the collapsed bound used to run for longer than this timeout.
+    src = str(Path(cohsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cohsim.cli",
+         "dim-bound", "--mu", "1e300", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout, parse_constant=_reject_constant)
+    jsonschema.validate(doc, load_schema())
+    rows = [dict(zip(doc["columns"], row)) for row in doc["rows"]]
+    assert len(rows) == 11
+    for row in rows:
+        assert row["d_alpha_upper"] == ""
+        # (n / k)^k <= C(n, k) <= (e n / k)^k, with n about 1e300 and k = d - 1
+        k = row["d"] - 1
+        assert k * math.log2(1e300 / k) < row["log2_d_alpha_upper"] - math.log2(10)
+        assert row["log2_d_alpha_upper"] - math.log2(10) < k * math.log2(math.e * 1e300 / k)
+
+
+def test_dim_bound_past_the_double_range_exits_one(capsys):
+    code, out, err = run_cli(capsys, "dim-bound", "--mu", "1e308", "--delta", str(10**308))
+    assert code == 1
+    assert out == ""
+    assert "double range" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["overlap-sweep", "--mu", "1,4"],
+        ["dim-bound", "--d", "1,16"],
+        ["hidden-matching", "--n", "6", "--trials", "50", "--seed", "1"],
+        ["thm-check", "--lecam-instances", "3", "--trials", "50", "--seed", "1"],
+    ],
+)
+def test_json_output_is_one_compact_line(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.dumps(json.loads(out)) + "\n" == out
+
+
+def test_thm_check_dim_bound_rows_match_the_log_gamma_formula(capsys):
+    # At mu = 1 the log-gamma difference is accurate, so the ratios must not move.
+    code, out, _ = run_cli(capsys, "thm-check", "--lecam-instances", "1", "--trials", "10", "--seed", "1")
+    assert code == 0
+    header, rows = parse_csv(out)
+    rows = [dict(zip(header, r)) for r in rows if r[0] == "dim-bound"]
+    assert [int(r["instance"]) for r in rows] == list(range(11))
+    for i, row in enumerate(rows):
+        d = 2 ** (i + 4)
+        n_top, k = 1 + 5 + d - 1, d - 1
+        log2_upper = math.log2(10) + (
+            math.lgamma(n_top + 1) - math.lgamma(k + 1) - math.lgamma(n_top - k + 1)
+        ) / math.log(2.0)
+        assert float(row["lhs"]) == pytest.approx(log2_upper / math.log2(d), rel=1e-12)
+        assert row["holds"] == "true"

@@ -130,6 +130,32 @@ def test_mode_power_invariant_is_validated():
         ModeCoherentState(np.array([1.0, 0.0]), 2.0)
 
 
+@pytest.mark.parametrize("power", [1e7, 1e12, 1e300])
+def test_mode_power_is_checked_relative_to_its_size(power):
+    # Rounding of a large power exceeded the old absolute tolerance of 1e-9.
+    amps = np.full(6, math.sqrt(power / 6))
+    c = ModeCoherentState(amps, math.sqrt(power))
+    assert c.mean_photon_number == pytest.approx(power, rel=1e-12)
+    with pytest.raises(ValueError, match="mode power"):
+        ModeCoherentState(amps, math.sqrt(power * (1.0 + 1e-8)))
+
+
+@pytest.mark.parametrize(
+    "amps, alpha",
+    [([1e160, 1.0], 1e160), ([math.inf], math.inf), ([math.nan], 1.0), ([1.0], math.nan),
+     ([1.0], 1e200)],
+)
+def test_non_finite_mode_power_is_a_value_error(amps, alpha):
+    with pytest.raises(ValueError, match="mode power"):
+        ModeCoherentState(np.array(amps), alpha)
+
+
+def test_from_amplitudes_refuses_a_power_past_the_double_range():
+    # The power sum overflowed with a RuntimeWarning, not a clear error.
+    with pytest.raises(ValueError, match="must be finite"):
+        ModeCoherentState.from_amplitudes([1e160, 1.0])
+
+
 def test_from_amplitudes_sets_alpha_to_total_power():
     c = ModeCoherentState.from_amplitudes([1.0, 2.0])
     assert c.mean_photon_number == pytest.approx(5.0)
@@ -283,6 +309,26 @@ def test_effective_dimension_bound_keeps_only_the_log_of_huge_counts():
     assert math.isfinite(b.log2_d_alpha_upper) and b.log2_d_alpha_upper > 1e5
     assert effective_dimension_bound(1.0, 5, 256).d_alpha_upper < 2**53
     assert effective_dimension_bound(1.0, 5, 4096).d_alpha_upper is None
+
+
+@pytest.mark.parametrize("d", [16, 1024])
+@pytest.mark.parametrize("mu", [1.0, 1e6, 1e15, 1e20, 1e40])
+def test_effective_dimension_log2_matches_the_exact_count_at_any_mu(mu, d):
+    # The log-gamma difference cancelled: at mu = 1e20 it read log2(2 delta) = 3.32.
+    delta = 5
+    n_top = math.floor(mu) + delta + d - 1
+    exact = math.log2(2 * delta * math.comb(n_top, d - 1))
+    b = effective_dimension_bound(mu, delta, d)
+    assert b.log2_d_alpha_upper == pytest.approx(exact, rel=1e-9)
+    assert (b.d_alpha_upper is None) == (exact >= 53.0)
+
+
+def test_effective_dimension_bound_rejects_counts_past_the_double_range():
+    effective_dimension_bound(1e308, 5, 2**20)
+    with pytest.raises(ValueError, match="double range"):
+        effective_dimension_bound(1.7e308, 10**307, 2)
+    with pytest.raises(ValueError, match="double range"):
+        effective_dimension_bound(1.0, 5, 10**309)
 
 
 def test_effective_dimension_log2_grows_like_log2_d():

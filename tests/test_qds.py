@@ -38,6 +38,14 @@ def test_keygen_is_deterministic():
     np.testing.assert_array_equal(a.k1, b.k1)
 
 
+@pytest.mark.parametrize("n", [1, 7, 9, 13])
+def test_keygen_returns_exactly_n_bits_at_any_length(n):
+    keys = keygen(n, Seed(124).rng())
+    for k in (keys.k0, keys.k1):
+        assert k.shape == (n,) and k.dtype == np.uint8
+        assert set(k.tolist()) <= {0, 1}
+
+
 def test_keygen_bits_are_balanced():
     keys = keygen(10_000, Seed(121).rng())
     for k in (keys.k0, keys.k1):
@@ -620,3 +628,17 @@ def test_config_bounds_the_power_per_mode():
         QdsConfig(n=2, alpha_sq=2.1e16)
     with pytest.raises(ValueError, match="alpha_sq / n"):
         QdsConfig(n=1, alpha_sq=1.7e308)
+
+
+def test_run_qds_verifies_without_per_mode_records(monkeypatch):
+    # After key generation a run keeps only the modes its draws touched.
+    calls = []
+    post_init, verify = UsdRecord.__post_init__, qds.verify_message
+    monkeypatch.setattr(UsdRecord, "__post_init__", lambda rec: calls.append("record") or post_init(rec))
+    monkeypatch.setattr(qds, "verify_message", lambda *args: calls.append("verify") or verify(*args))
+    t = run_qds(QdsConfig(n=65536, alpha_sq=9.0), Seed(177))
+    assert t.accepted_by_both and t.bob_verdict.tested > 0
+    assert calls == []
+    # the counters do see the dense path
+    qds.verify_message("01", UsdRecord([1, -1]), 0.02, VerificationRole.AUTHENTICATION)
+    assert calls == ["record", "verify"]
