@@ -14,7 +14,6 @@ from cohsim import (
     Seed,
     check_success_condition,
     estimate_success_probability,
-    leading_block_partition,
     lecam_bound_check,
     poisson_binomial_exact,
     two_block_trial_generator,
@@ -40,10 +39,10 @@ d0 = d1 = 20_000
 probs = np.empty(d0 + d1)
 probs[:d0] = 0.95 / d0
 probs[d0:] = 0.05 / d1
-partition = leading_block_partition(d0, d1)
 chosen = None
 for mu in (1.0, 10.0, 30.0, 60.0, 120.0):
-    rep = check_success_condition(0.95, 0.2, mu, probs, partition)
+    # S_0, the correct outcome, is the first d0 modes; p_s is its mass, 0.95
+    rep = check_success_condition(0.2, mu, probs, d0)
     tag = "holds" if rep.holds else "fails"
     print(f"  mu = {mu:>6.1f}: lhs = {rep.lhs:10.4g}  -> {tag}")
     if rep.holds and chosen is None:

@@ -50,14 +50,12 @@ from .commx import (
     LecamCheck,
     McEstimate,
     Outcome,
-    OutcomePartition,
     SuccessConditionReport,
     check_success_condition,
     click_count_stats,
     click_counts,
     decide,
     estimate_success_probability,
-    leading_block_partition,
     lecam_bound_check,
     poisson_binomial_exact,
     two_block_trial_generator,
@@ -103,9 +101,9 @@ __all__ = [
     "poissonized_repetition_oracle", "sample_click_pattern",
     "sample_photon_numbers",
     "ClickCountStats", "LecamCheck", "McEstimate", "Outcome",
-    "OutcomePartition", "SuccessConditionReport", "check_success_condition",
+    "SuccessConditionReport", "check_success_condition",
     "click_count_stats", "click_counts", "decide",
-    "estimate_success_probability", "leading_block_partition",
+    "estimate_success_probability",
     "lecam_bound_check", "poisson_binomial_exact", "two_block_trial_generator",
     "Matching", "TrialStats", "bob_unitary", "output_port_labels",
     "random_matching", "run_experiment",

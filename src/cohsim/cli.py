@@ -220,8 +220,7 @@ def _cmd_thm_check(args):
     # sampled (C_0, C_1) pair, drawn in blocks from the stream ("mc", i).
     for i, (p_s, eps, mu, d0, d1) in enumerate(_CONDITION_INSTANCES):
         probs = _uniform_block_probs(p_s, d0, d1)
-        partition = commx.leading_block_partition(d0, d1)
-        report = commx.check_success_condition(p_s, eps, mu, probs, partition)
+        report = commx.check_success_condition(eps, mu, probs, d0)
         p_hat = ""
         ci95 = ""
         if report.holds:

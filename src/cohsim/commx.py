@@ -2,8 +2,10 @@
 
 A projective decision between two subspaces turns, after the coherent-state
 translation, into counting clicks over two disjoint sets of modes S_0 and S_1
-and picking the set with more clicks.  Each click count is a Poisson-binomial
-random variable; this module provides
+and picking the set with more clicks.  Modes are numbered so that S_0 is modes
+1..d0 and S_1 the other modes, and every function here takes the split as
+``d0``, an integer in 0..d.  Each click count is a Poisson-binomial random
+variable; this module provides
 
 * the click-count decision rule on one click pattern (:func:`decide`),
 * exact Poisson-binomial pmfs (:func:`poisson_binomial_exact`),
@@ -26,7 +28,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import Seed
+from .core import Seed, _index
 from .detection import ClickPattern, click_probabilities
 from .mapping import ModeCoherentState
 
@@ -39,45 +41,17 @@ class Outcome(Enum):
     TIE = 2
 
 
-@dataclass(frozen=True)
-class OutcomePartition:
-    """Two disjoint sets of mode labels (1-based, matching mode numbering)."""
-
-    s0: frozenset[int]
-    s1: frozenset[int]
-
-    def __post_init__(self) -> None:
-        # Sorted int labels; int64 truncates like int(), so drop the repeats that makes.
-        labels = [np.sort(np.fromiter(s, dtype=np.int64, count=len(s))) for s in (self.s0, self.s1)]
-        labels = [a[np.diff(a, prepend=a[:1] - 1) != 0] for a in labels]
-        overlap = np.intersect1d(*labels, assume_unique=True)
-        if overlap.size:
-            raise ValueError(f"mode sets overlap: {overlap.tolist()}")
-        if any(a.size and a[0] < 1 for a in labels):
-            raise ValueError("mode labels must be >= 1")
-        i0, i1 = (a - 1 for a in labels)
-        i0.setflags(write=False)
-        i1.setflags(write=False)
-        object.__setattr__(self, "s0", frozenset(labels[0].tolist()))
-        object.__setattr__(self, "s1", frozenset(labels[1].tolist()))
-        object.__setattr__(self, "_i0", i0)
-        object.__setattr__(self, "_i1", i1)
-        object.__setattr__(self, "_max_label", int(np.concatenate(labels).max(initial=0)))
-
-    def indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """0-based array positions for each set (cached at construction)."""
-        return self._i0, self._i1
-
-    @property
-    def max_label(self) -> int:
-        return self._max_label
+def _check_d0(d0, d: int) -> int:
+    """S_0 is modes 1..d0 and S_1 modes d0+1..d, so d0 must be an integer in 0..d."""
+    if _index(d0, "d0") > d:
+        raise ValueError(f"d0 = {d0} exceeds the {d} modes")
+    return int(d0)
 
 
-def click_counts(pattern: ClickPattern, partition: OutcomePartition) -> tuple[int, int]:
-    if partition.max_label > pattern.dim:
-        raise ValueError("pattern does not cover all partition mode labels")
-    i0, i1 = partition.indices()
-    return int(pattern.clicks[i0].sum()), int(pattern.clicks[i1].sum())
+def click_counts(pattern: ClickPattern, d0: int) -> tuple[int, int]:
+    """Clicks in S_0 (modes 1..d0) and in S_1 (the other modes)."""
+    d0 = _check_d0(d0, pattern.dim)
+    return int(pattern.clicks[:d0].sum()), int(pattern.clicks[d0:].sum())
 
 
 def _compare(c0, c1):
@@ -88,13 +62,13 @@ def _compare(c0, c1):
 _OUTCOME_BY_SIGN = {1: Outcome.ZERO, -1: Outcome.ONE, 0: Outcome.TIE}
 
 
-def decide(pattern: ClickPattern, partition: OutcomePartition) -> Outcome:
+def decide(pattern: ClickPattern, d0: int) -> Outcome:
     """More clicks in S_0 means ZERO, more in S_1 means ONE, equal means TIE.
 
     Tie resolution (including the all-vacuum pattern) is caller policy;
     :func:`estimate_success_probability` counts ties as failures.
     """
-    return _OUTCOME_BY_SIGN[int(_compare(*click_counts(pattern, partition)))]
+    return _OUTCOME_BY_SIGN[int(_compare(*click_counts(pattern, d0)))]
 
 
 @dataclass(frozen=True)
@@ -111,9 +85,8 @@ class ClickCountStats:
         return self.tau0 + self.tau1
 
 
-def _count_stats(click_probs: np.ndarray, partition: OutcomePartition) -> ClickCountStats:
-    i0, i1 = partition.indices()
-    p0, p1 = click_probs[i0], click_probs[i1]
+def _count_stats(click_probs: np.ndarray, d0: int) -> ClickCountStats:
+    p0, p1 = click_probs[:d0], click_probs[d0:]
     return ClickCountStats(
         mu0=float(p0.sum()),
         mu1=float(p1.sum()),
@@ -122,10 +95,9 @@ def _count_stats(click_probs: np.ndarray, partition: OutcomePartition) -> ClickC
     )
 
 
-def click_count_stats(c: ModeCoherentState, partition: OutcomePartition) -> ClickCountStats:
-    if partition.max_label > c.dim:
-        raise ValueError("state does not cover all partition mode labels")
-    return _count_stats(click_probabilities(c), partition)
+def click_count_stats(c: ModeCoherentState, d0: int) -> ClickCountStats:
+    """Click-count moments of S_0 (modes 1..d0) and S_1 (the other modes)."""
+    return _count_stats(click_probabilities(c), _check_d0(d0, c.dim))
 
 
 def poisson_binomial_exact(probs) -> np.ndarray:
@@ -207,15 +179,15 @@ class SuccessConditionReport:
     p_s: float
     epsilon: float
     lhs: float
-    holds: bool
-    p_alpha_lower_bound: float
     stats: ClickCountStats
 
-    def __post_init__(self) -> None:
-        if self.holds != (self.lhs <= self.epsilon):
-            raise ValueError("holds flag inconsistent with lhs <= epsilon")
-        if self.p_alpha_lower_bound > 1.0:
-            raise ValueError("success lower bound cannot exceed 1")
+    @property
+    def holds(self) -> bool:
+        return bool(self.lhs <= self.epsilon)
+
+    @property
+    def p_alpha_lower_bound(self) -> float:
+        return 1.0 - self.lhs
 
 
 def _concentration_term(p_s: float, mu: float) -> float:
@@ -225,67 +197,46 @@ def _concentration_term(p_s: float, mu: float) -> float:
 
 
 def check_success_condition(
-    p_s: float,
-    epsilon: float,
-    mu: float,
-    probs_qubit,
-    partition: OutcomePartition,
+    epsilon: float, mu: float, probs_qubit, d0: int
 ) -> SuccessConditionReport:
     """Decide whether mean photon number mu preserves the bounded error.
 
     Args:
-        p_s: success probability of the original protocol, in (1/2, 1]; must
-            equal the probability mass of ``probs_qubit`` on S_0 (the correct
-            outcome set), which is what the underlying derivation assumes.
         epsilon: target error bound, in (0, 1/2).
-        mu: mean photon number |alpha|^2 of the translated protocol.
+        mu: mean photon number |alpha|^2 of the translated protocol, finite
+            and non-negative.
         probs_qubit: original outcome probabilities p_k over all modes,
             summing to 1.  Click probabilities are computed per mode as
             p_{alpha,k} = 1 - e^{-mu p_k}.
-        partition: the two mode sets S_0 / S_1.
+        d0: S_0, the correct outcome set, is modes 1..d0; S_1 is the rest.
+
+    The original protocol's success probability p_s is the mass of
+    ``probs_qubit`` on S_0 (capped at 1 against rounding), and must lie in
+    (1/2, 1].
 
     Returns:
         A report with the condition's left-hand side, whether it holds, and
         the implied lower bound 1 - lhs on the translated success probability.
     """
-    p_s = float(p_s)
     epsilon = float(epsilon)
     mu = float(mu)
-    if not 0.5 < p_s <= 1.0:
-        raise ValueError("p_s must lie in (1/2, 1]")
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
-    if mu < 0.0:
-        raise ValueError("mu must be non-negative")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and non-negative, got {mu!r}")
 
     probs_qubit = np.atleast_1d(np.asarray(probs_qubit, dtype=np.float64))
-    if np.any(probs_qubit < 0.0) or abs(probs_qubit.sum() - 1.0) > 1e-9:
+    if not (np.all(probs_qubit >= 0.0) and abs(probs_qubit.sum() - 1.0) <= 1e-9):
         raise ValueError("probs_qubit must be non-negative and sum to 1")
-    if partition.max_label > probs_qubit.size:
-        raise ValueError("probs_qubit does not cover all partition mode labels")
-    mass0 = float(probs_qubit[partition.indices()[0]].sum())
-    if abs(mass0 - p_s) > 1e-9:
-        raise ValueError(
-            f"p_s = {p_s!r} must equal the S_0 probability mass {mass0!r}"
-        )
+    d0 = _check_d0(d0, probs_qubit.size)
+    p_s = min(1.0, float(probs_qubit[:d0].sum()))
+    if not p_s > 0.5:
+        raise ValueError(f"the S_0 mass p_s = {p_s!r} must lie in (1/2, 1]")
 
-    stats = _count_stats(-np.expm1(-mu * probs_qubit), partition)
+    stats = _count_stats(-np.expm1(-mu * probs_qubit), d0)
     approx_term = max(_min_one_inverse(stats.mu0), _min_one_inverse(stats.mu1)) * stats.tau
     lhs = _concentration_term(p_s, mu) + approx_term
-    return SuccessConditionReport(
-        mu=mu,
-        p_s=p_s,
-        epsilon=epsilon,
-        lhs=lhs,
-        holds=bool(lhs <= epsilon),
-        p_alpha_lower_bound=1.0 - lhs,
-        stats=stats,
-    )
-
-
-def leading_block_partition(d0: int, d1: int) -> OutcomePartition:
-    """S_0 = modes 1..d0, S_1 = modes d0+1..d0+d1."""
-    return OutcomePartition(range(1, d0 + 1), range(d0 + 1, d0 + d1 + 1))
+    return SuccessConditionReport(mu=mu, p_s=p_s, epsilon=epsilon, lhs=lhs, stats=stats)
 
 
 def two_block_trial_generator(

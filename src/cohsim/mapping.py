@@ -167,12 +167,32 @@ def transmitted_info(d: int) -> float:
     return math.log2(d)
 
 
+def _poisson_deviance(mu: float, delta: float) -> float:
+    """(mu + delta) ln(1 + delta/mu) - delta, for mu > 0 and delta > 0.
+
+    Where delta is small against mu the two terms nearly cancel, so there the
+    value is summed as a series of positive terms in v = delta / (2 mu + delta)
+    (Loader's bd0): delta [v + (1 + v) sum_{j>=1} v^{2j} / (2j + 1)].
+    """
+    v = 1.0 / (1.0 + 2.0 * (mu / delta))
+    if v >= 0.1:
+        return (mu + delta) * math.log1p(delta / mu) - delta
+    total, power, j = 0.0, 1.0, 1
+    while True:
+        power *= v * v
+        nxt = total + power / (2 * j + 1)
+        if nxt == total:
+            return delta * (v + (1.0 + v) * total)
+        total, j = nxt, j + 1
+
+
 def poisson_tail_bound(mu: float, delta: float) -> float:
     """Upper bound on P(|N - mu| >= delta) for N ~ Poisson(mu).
 
     Returns min(1, 2 e^{-mu} (e mu / (mu + delta))^{mu + delta}), evaluated in
-    log space.  The raw expression exceeds 1 for small windows, hence the
-    clamp; it is a probability bound either way.
+    log space as ln 2 - D with D = (mu + delta) ln(1 + delta/mu) - delta (see
+    :func:`_poisson_deviance`).  The raw expression exceeds 1 for small
+    windows, hence the clamp; it is a probability bound either way.
     """
     mu = float(mu)
     delta = float(delta)
@@ -182,7 +202,7 @@ def poisson_tail_bound(mu: float, delta: float) -> float:
         raise ValueError("delta must be positive")
     if mu == 0.0:
         return 0.0
-    log_raw = math.log(2.0) - mu + (mu + delta) * (1.0 + math.log(mu) - math.log(mu + delta))
+    log_raw = math.log(2.0) - _poisson_deviance(mu, delta)
     if log_raw >= 0.0:
         return 1.0
     return math.exp(log_raw)

@@ -139,8 +139,9 @@ def _usd_probabilities(amps: np.ndarray, beta: float) -> tuple[np.ndarray, np.nd
         return np.zeros(amps.shape), np.zeros(amps.shape)
     s = math.exp(-2.0 * beta * beta)
     # For gamma = x + iy, <+-beta|gamma> has modulus exp(-((beta -+ x)^2 + y^2)/2),
-    # at most 1, and phase +-beta*y: real arithmetic only.  The squares stay
-    # finite while |beta -+ x| and |y| are below 1e154, far past QdsConfig's bound.
+    # at most 1, and phase +-beta*y: real arithmetic only.  (beta -+ x)^2 + y^2
+    # is at most (beta + |gamma|)^2, finite while beta + |gamma| is below 1e154,
+    # which usd_measure checks and QdsConfig's bound implies.
     # 1 - s^2 comes from expm1, which stays non-zero for every beta > 0.
     x, y_sq = amps.real, amps.imag**2
     mod_plus = np.exp(-((beta - x) ** 2 + y_sq) / 2.0)
@@ -165,8 +166,12 @@ def usd_measure(
     everything is inconclusive.
     """
     beta = float(reference_magnitude)
-    if beta < 0.0:
-        raise ValueError("reference magnitude must be non-negative")
+    # The USD law squares beta -+ Re(gamma); below this bound no square overflows.
+    if not (0.0 <= beta and beta + np.abs(c.mode_amplitudes).max() < 1e154):
+        raise ValueError(
+            f"reference magnitude must be finite and non-negative, and plus the largest"
+            f" mode modulus below 1e154, got {reference_magnitude!r}"
+        )
     table = np.array(_usd_probabilities(c.mode_amplitudes, beta))
     return _usd_draw(table, np.arange(c.dim), rng)
 
@@ -345,7 +350,13 @@ class QdsConfig:
             raise ValueError(
                 f"unknown tamper model {self.tamper_model!r}; expected one of {TAMPER_MODELS}"
             )
-        if self.tamper_model != "none":
+        allowed = () if self.tamper_model == "none" else ("fraction",)
+        for key in self.tamper_params:
+            if key not in allowed:
+                raise ValueError(
+                    f"tamper model {self.tamper_model!r} takes no tamper_params key {key!r}"
+                )
+        if allowed:
             frac = self.tamper_params.get("fraction")
             if not _is_real(frac) or not 0.0 < frac <= 1.0:
                 raise ValueError("tamper_params must set 'fraction' in (0, 1]")

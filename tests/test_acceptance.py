@@ -20,7 +20,6 @@ from cohsim import (
     check_success_condition,
     effective_dimension_bound,
     estimate_success_probability,
-    leading_block_partition,
     lecam_bound_check,
     map_state,
     multinomial_oracle,
@@ -179,8 +178,7 @@ def test_criterion_5_success_condition_soundness():
     holding = 0
     for i, (p_s, eps, mu, d0, d1) in enumerate(CONDITION_INSTANCES):
         probs = uniform_block_probs(p_s, d0, d1)
-        partition = leading_block_partition(d0, d1)
-        rep = check_success_condition(p_s, eps, mu, probs, partition)
+        rep = check_success_condition(eps, mu, probs, d0)
         assert rep.stats.mu0 <= p_s * mu + 1e-12
         assert rep.stats.mu1 <= (1.0 - p_s) * mu + 1e-12
         if not rep.holds:
@@ -207,9 +205,7 @@ def test_criterion_5_success_condition_soundness():
             d0, d1 = d1, d0
             mass0 = float(probs[:d0].sum())
         mu = float(rng.uniform(0.01, 30.0))
-        rep = check_success_condition(
-            mass0, 0.25, mu, probs, leading_block_partition(d0, d1)
-        )
+        rep = check_success_condition(0.25, mu, probs, d0)
         assert rep.stats.mu0 <= mass0 * mu + 1e-12
         assert rep.stats.mu1 <= (1.0 - mass0) * mu + 1e-12
     report(5, f"{holding} holding instances all beat 1 - epsilon - 3*CI at 1e5 trials; photon-budget inequalities held in all instances")

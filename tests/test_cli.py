@@ -349,6 +349,9 @@ def test_reals_use_twelve_significant_digits(capsys):
         ({"alpha_sq": math.inf}, "alpha_sq"),
         ({"f": math.nan}, "f"),
         ({"s_v": None}, "s_v"),
+        ({"tamper_params": {"fraction": 0.2}}, "fraction"),
+        ({"tamper_model": "flip_revealed", "tamper_params": {"fraction": 0.2, "fracton": 0.5}},
+         "fracton"),
     ],
 )
 def test_qds_config_type_errors_exit_one_naming_the_field(capsys, tmp_path, overrides, field):
@@ -439,7 +442,7 @@ _typed_configs = st.fixed_dictionaries(
         "s_a": st.floats(0.0, 0.5),
         "s_v": st.floats(0.0, 1.0),
         "tamper_model": st.sampled_from(TAMPER_MODELS),
-        "tamper_params": st.fixed_dictionaries({"fraction": st.floats(0.0, 1.0)}),
+        "tamper_params": st.just({}) | st.fixed_dictionaries({"fraction": st.floats(0.0, 1.0)}),
         "message_bit": st.integers(0, 1),
         "trials": st.integers(0, 3),
         "seed": st.integers(0, 2**64),
@@ -509,6 +512,22 @@ def test_any_hidden_matching_exits_zero_or_one_with_finite_output(alpha_sq, n, t
     code, doc = _run_to_json(argv)
     if code == 0:
         assert dict(zip(doc["columns"], doc["rows"][0]))["wrong"] == 0
+
+
+@given(
+    mus=st.lists(st.floats(0.0, 1e308), max_size=4),
+    deltas=st.lists(st.floats(-1.0, 2.0), max_size=4),
+)
+def test_any_overlap_sweep_exits_zero_or_one_with_finite_output(mus, deltas):
+    # "--flag=value" keeps a leading minus sign a value, not an option.
+    _run_to_json(["overlap-sweep", "--mu=" + ",".join(map(repr, mus)),
+                  "--delta=" + ",".join(map(repr, deltas))])
+
+
+@given(lecam_instances=st.integers(-1, 5), trials=st.integers(-1, 200))
+def test_any_thm_check_exits_zero_or_one_with_finite_output(lecam_instances, trials):
+    _run_to_json(["thm-check", "--lecam-instances", str(lecam_instances),
+                  "--trials", str(trials), "--seed", "7"])
 
 
 @pytest.mark.parametrize("alpha_sq", ["1e7", "1e12"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,12 @@ from scipy.stats import binom, poisson
 from cohsim import (
     ClickPattern,
     Outcome,
-    OutcomePartition,
     Seed,
     check_success_condition,
     click_count_stats,
     click_counts,
     decide,
     estimate_success_probability,
-    leading_block_partition,
     lecam_bound_check,
     map_state,
     poisson_binomial_exact,
@@ -25,8 +24,6 @@ from cohsim import commx
 from cohsim.commx import _poisson_pmf
 from cohsim.mapping import ModeCoherentState
 
-PART_2_2 = OutcomePartition(frozenset({1, 2}), frozenset({3, 4}))
-
 
 def pattern(*bits):
     return ClickPattern(np.array(bits, dtype=bool))
@@ -34,32 +31,43 @@ def pattern(*bits):
 
 def test_decide_all_dark_is_tie():
     p = pattern(0, 0, 0, 0)
-    assert decide(p, PART_2_2) is Outcome.TIE
-    assert click_counts(p, PART_2_2) == (0, 0)
+    assert decide(p, 2) is Outcome.TIE
+    assert click_counts(p, 2) == (0, 0)
 
 
 def test_decide_clicks_only_in_first_set():
-    assert decide(pattern(1, 0, 0, 0), PART_2_2) is Outcome.ZERO
+    assert decide(pattern(1, 0, 0, 0), 2) is Outcome.ZERO
 
 
 def test_decide_majority():
-    part = OutcomePartition(frozenset({1, 2, 3}), frozenset({4, 5, 6}))
-    assert decide(pattern(1, 1, 1, 0, 1, 0), part) is Outcome.ZERO
-    assert decide(pattern(0, 1, 0, 1, 1, 0), part) is Outcome.ONE
+    assert decide(pattern(1, 1, 1, 0, 1, 0), 3) is Outcome.ZERO
+    assert decide(pattern(0, 1, 0, 1, 1, 0), 3) is Outcome.ONE
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
-        OutcomePartition(frozenset({1, 2}), frozenset({2, 3}))
-    with pytest.raises(ValueError):
-        OutcomePartition(frozenset({0}), frozenset({1}))
-    with pytest.raises(ValueError):
-        click_counts(pattern(1, 0), PART_2_2)
+    # d0 splits d modes into S_0 = 1..d0 and S_1 = d0+1..d: any integer in 0..d
+    assert click_counts(pattern(1, 0, 1), 0) == (0, 2)
+    assert click_counts(pattern(1, 0, 1), 3) == (2, 0)
+    c = ModeCoherentState(np.zeros(2, dtype=complex), 0.0)
+    probs = uniform_block_probs(1.0, 2, 0)
+    calls = [
+        lambda d0: click_counts(pattern(1, 0), d0),
+        lambda d0: decide(pattern(1, 0), d0),
+        lambda d0: click_count_stats(c, d0),
+        lambda d0: check_success_condition(0.1, 1.0, probs, d0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="d0"):
+            call(3)
+        with pytest.raises(ValueError, match="d0"):
+            call(-1)
+        with pytest.raises(TypeError, match="d0"):
+            call(1.0)
 
 
 def test_click_count_stats_vacuum():
     c = ModeCoherentState(np.zeros(4, dtype=complex), 0.0)
-    stats = click_count_stats(c, PART_2_2)
+    stats = click_count_stats(c, 2)
     assert stats.mu0 == stats.mu1 == stats.tau == 0.0
 
 
@@ -68,7 +76,7 @@ def test_click_count_stats_two_modes():
     power = -math.log(0.9)  # per-mode |amp|^2 giving p = 0.1
     amps = np.sqrt([power, power, 0.0, 0.0]).astype(complex)
     c = ModeCoherentState.from_amplitudes(amps)
-    stats = click_count_stats(c, PART_2_2)
+    stats = click_count_stats(c, 2)
     assert stats.mu0 == pytest.approx(0.2, abs=1e-12)
     assert stats.tau0 == pytest.approx(0.02, abs=1e-12)
     assert stats.mu1 == 0.0
@@ -76,8 +84,7 @@ def test_click_count_stats_two_modes():
 
 def test_click_count_stats_uniform_hundred_modes():
     c = map_state(uniform_state(100), 1.0)
-    part = OutcomePartition(frozenset(range(1, 101)), frozenset())
-    stats = click_count_stats(c, part)
+    stats = click_count_stats(c, 100)
     assert stats.mu0 == pytest.approx(100 * (1 - math.exp(-0.01)), abs=1e-9)
 
 
@@ -183,24 +190,20 @@ def uniform_block_probs(p_s, d0, d1):
 
 def test_condition_fails_without_photons():
     probs = uniform_block_probs(0.9, 10, 10)
-    report = check_success_condition(0.9, 0.1, 0.0, probs, leading_block_partition(10, 10))
+    report = check_success_condition(0.1, 0.0, probs, 10)
     assert report.lhs >= 2.0
     assert not report.holds
 
 
 def test_condition_report_is_algebraically_consistent():
     probs = uniform_block_probs(0.95, 1000, 1000)
-    report = check_success_condition(
-        0.95, 0.2, 20.0, probs, leading_block_partition(1000, 1000)
-    )
+    report = check_success_condition(0.2, 20.0, probs, 1000)
     assert report.lhs + report.p_alpha_lower_bound == pytest.approx(1.0, abs=1e-12)
 
 
 def test_condition_holds_for_small_probabilities_large_mu():
     probs = uniform_block_probs(0.95, 20_000, 20_000)
-    report = check_success_condition(
-        0.95, 0.2, 60.0, probs, leading_block_partition(20_000, 20_000)
-    )
+    report = check_success_condition(0.2, 60.0, probs, 20_000)
     assert report.holds
     assert report.stats.mu0 <= 0.95 * 60.0
     assert report.stats.mu1 <= 0.05 * 60.0
@@ -209,7 +212,7 @@ def test_condition_holds_for_small_probabilities_large_mu():
 def test_condition_degenerate_empty_set_uses_unit_factor():
     # empty S_1: mu1 = 0 and min(1, 1/mu1) resolves to 1
     probs = uniform_block_probs(1.0, 100, 0)
-    report = check_success_condition(1.0, 0.4, 1.0, probs, leading_block_partition(100, 0))
+    report = check_success_condition(0.4, 1.0, probs, 100)
     tau = report.stats.tau
     assert report.lhs == pytest.approx(
         2 * math.exp(-1.0) * math.sqrt(2 * math.e) + tau, rel=1e-12
@@ -218,13 +221,38 @@ def test_condition_degenerate_empty_set_uses_unit_factor():
 
 def test_condition_validates_inputs():
     probs = uniform_block_probs(0.9, 10, 10)
-    part = leading_block_partition(10, 10)
+    with pytest.raises(ValueError, match="p_s"):
+        check_success_condition(0.1, 1.0, uniform_block_probs(0.4, 10, 10), 10)  # S_0 mass 0.4
+    with pytest.raises(ValueError, match="p_s"):
+        check_success_condition(0.1, 1.0, probs, 5)  # S_0 mass 0.45
     with pytest.raises(ValueError):
-        check_success_condition(0.5, 0.1, 1.0, probs, part)  # p_s too small
-    with pytest.raises(ValueError):
-        check_success_condition(0.9, 0.6, 1.0, probs, part)  # epsilon too large
-    with pytest.raises(ValueError):
-        check_success_condition(0.8, 0.1, 1.0, probs, part)  # p_s != S_0 mass
+        check_success_condition(0.6, 1.0, probs, 10)  # epsilon too large
+    for mu in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="mu"):
+            check_success_condition(0.1, mu, probs, 10)
+    for bad in (probs * 0.5, np.full(20, math.nan), -probs):
+        with pytest.raises(ValueError, match="probs_qubit"):
+            check_success_condition(0.1, 1.0, bad, 10)
+
+
+def test_condition_takes_p_s_as_the_s0_mass_capped_at_one():
+    # 40,000 terms of 1/40,000 sum to 1.0000000000000002
+    d = 40_000
+    probs = uniform_block_probs(1.0, d, 0)
+    assert probs.sum() > 1.0
+    report = check_success_condition(0.1, 40.0, probs, d)
+    assert report.p_s == 1.0
+    assert check_success_condition(0.2, 60.0, uniform_block_probs(0.95, 100, 100), 100).p_s == (
+        pytest.approx(0.95, abs=1e-12)
+    )
+
+
+def test_condition_report_derives_its_verdict_from_lhs():
+    report = check_success_condition(0.2, 60.0, uniform_block_probs(0.95, 100, 100), 100)
+    for lhs in (0.1, 0.2, 0.3):
+        derived = dataclasses.replace(report, lhs=lhs)
+        assert derived.holds == (lhs <= 0.2)
+        assert derived.p_alpha_lower_bound == 1.0 - lhs
 
 
 def test_condition_evaluates_single_set_instance():
@@ -232,7 +260,7 @@ def test_condition_evaluates_single_set_instance():
     # direct evaluation, and the expected clicks stay below the photon budget
     d = 10_000
     probs = uniform_block_probs(1.0, d, 0)
-    report = check_success_condition(1.0, 0.1, 16.0, probs, leading_block_partition(d, 0))
+    report = check_success_condition(0.1, 16.0, probs, d)
     assert report.stats.mu0 < 16.0
     assert report.stats.mu1 == 0.0
     expected_tau = d * (-math.expm1(-16.0 / d)) ** 2
@@ -254,9 +282,7 @@ def test_expected_clicks_below_photon_budget():
             d0, d1 = d1, d0
             mass0 = probs[:d0].sum()
         mu = float(rng.uniform(0.1, 20.0))
-        report = check_success_condition(
-            float(mass0), 0.25, mu, probs, leading_block_partition(d0, d1)
-        )
+        report = check_success_condition(0.25, mu, probs, d0)
         assert report.stats.mu0 <= mass0 * mu + 1e-12
         assert report.stats.mu1 <= (1.0 - mass0) * mu + 1e-12
 
@@ -294,7 +320,7 @@ def test_holding_instance_exact_success_exceeds_lower_bound():
     # the decision rule is computable exactly and must beat 1 - lhs
     p_s, eps, mu, d0, d1 = 0.95, 0.2, 60.0, 20_000, 20_000
     probs = uniform_block_probs(p_s, d0, d1)
-    report = check_success_condition(p_s, eps, mu, probs, leading_block_partition(d0, d1))
+    report = check_success_condition(eps, mu, probs, d0)
     assert report.holds
     p0 = -math.expm1(-mu * p_s / d0)
     p1 = -math.expm1(-mu * (1 - p_s) / d1)
@@ -436,10 +462,9 @@ def test_two_block_generator_count_distribution():
 
 def test_decide_agrees_with_the_estimator_success_event():
     # decide's ZERO on a pattern with counts (c0, c1) is the estimator's success
-    part = leading_block_partition(3, 3)
     for c0 in range(4):
         for c1 in range(4):
             bits = [1] * c0 + [0] * (3 - c0) + [1] * c1 + [0] * (3 - c1)
             est = estimate_success_probability(constant_counts(c0, c1), 1, Seed(96))
-            assert (decide(pattern(*bits), part) is Outcome.ZERO) == (est.successes == 1)
-            assert (decide(pattern(*bits), part) is Outcome.TIE) == (est.ties == 1)
+            assert (decide(pattern(*bits), 3) is Outcome.ZERO) == (est.successes == 1)
+            assert (decide(pattern(*bits), 3) is Outcome.TIE) == (est.ties == 1)

@@ -1,6 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
+import cohsim
 from cohsim import (
     DimensionMismatchError,
     PureState,
@@ -212,3 +215,12 @@ def test_states_are_immutable():
     s = uniform_state(4)
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.0
+
+
+def test_all_lists_exactly_the_public_names():
+    # A stale name in __all__ breaks "from cohsim import *" but not "import cohsim".
+    public = [
+        name for name, value in vars(cohsim).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert sorted(cohsim.__all__) == sorted(public)

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -258,6 +259,23 @@ def test_poisson_tail_bound_matches_direct_expression():
     assert poisson_tail_bound(1.0, 9.0) == pytest.approx(
         2 * math.exp(-1) * (math.e / 10.0) ** 10, rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "mu, deltas",
+    [(1.0, (5.0, 9.0)), (100.0, (30.0, 45.0)), (1e6, (4e3, 6e3)), (1e15, (5e7, 1e8, 2e8))],
+)
+def test_poisson_tail_bound_matches_a_fifty_digit_evaluation(mu, deltas):
+    # The difference form lost the bound to cancellation at mu = 1e15: it gave
+    # 0.0342 for 0.01348 at delta = 1e8, and 1.0 for 0.573 at delta = 5e7.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for delta in deltas:
+            m, d = decimal.Decimal(mu), decimal.Decimal(delta)
+            log_raw = decimal.Decimal(2).ln() - m + (m + d) * (1 + m.ln() - (m + d).ln())
+            expected = float(min(decimal.Decimal(1), log_raw.exp()))
+            assert expected < 1.0
+            assert poisson_tail_bound(mu, delta) == pytest.approx(expected, rel=1e-9)
 
 
 def test_poisson_tail_bound_clamps_at_one():

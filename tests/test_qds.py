@@ -165,6 +165,24 @@ def test_usd_probabilities_stay_finite_at_extreme_references(beta):
     np.testing.assert_allclose(p_minus, [0.0, rate], rtol=1e-6, atol=1e-12)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0, 1e160, 1e200, 1.7e308])
+def test_usd_measure_refuses_a_bad_reference_magnitude(beta):
+    # nan reached numpy's binomial, and huge values overflowed (beta -+ x)^2.
+    c = ModeCoherentState.from_amplitudes([1.0, -1.0])
+    with pytest.raises(ValueError, match="reference magnitude"):
+        usd_measure(c, beta, Seed(132).rng())
+
+
+def test_usd_measure_is_exact_just_inside_the_magnitude_bound():
+    # beta + |gamma| = 8e153 < 1e154: honest modes are conclusive with certainty
+    beta = 4e153
+    c = ModeCoherentState.from_amplitudes([beta, -beta])
+    rec = usd_measure(c, beta, Seed(133).rng())
+    assert rec.outcomes.tolist() == [1, -1]
+    rec = usd_measure(ModeCoherentState.from_amplitudes([1.0, -1.0]), beta, Seed(133).rng())
+    assert rec.tested == 0
+
+
 def test_usd_record_validation():
     for outcomes in ([2, 0], [2], [-2]):
         with pytest.raises(ValueError, match="outcomes must be"):
@@ -417,6 +435,19 @@ def test_config_fields_are_type_checked(field, value):
 def test_tamper_fraction_must_be_a_number(fraction):
     with pytest.raises(ValueError, match="fraction"):
         QdsConfig(tamper_model="repudiation", tamper_params={"fraction": fraction})
+
+
+@pytest.mark.parametrize(
+    "model, params, key",
+    [
+        ("none", {"fraction": 7}, "fraction"),
+        ("flip_revealed", {"fraction": 0.2, "fracton": 0.5}, "fracton"),
+        ("repudiation", {"fraction": 0.2, "seed": 1}, "seed"),
+    ],
+)
+def test_config_rejects_stray_tamper_params(model, params, key):
+    with pytest.raises(ValueError, match=f"tamper_params key '{key}'"):
+        QdsConfig(tamper_model=model, tamper_params=params)
 
 
 def test_config_accepts_integer_valued_reals():
