@@ -40,7 +40,7 @@ print(" ", [round(c / trials, 4) for c in clicks])
 print()
 print("total photon number is Poisson(mu), whatever the state:")
 rng = Seed(11).rng()
-totals = Counter(sample_photon_numbers(state, rng).total for _ in range(trials))
+totals = Counter(sample_photon_numbers(state, rng, trials).sum(axis=1).tolist())
 print(f"{'n':>4} {'empirical':>10} {'poisson':>10}")
 for n in range(7):
     expected = math.exp(-mu) * mu**n / math.factorial(n)
@@ -48,14 +48,9 @@ for n in range(7):
 
 print()
 print("direct counts versus Poisson-many single-photon repetitions:")
-rng = Seed(12).rng()
-direct = Counter(
-    tuple(sample_photon_numbers(state, rng).counts.tolist()) for _ in range(trials)
-)
-rng = Seed(13).rng()
+direct = Counter(map(tuple, sample_photon_numbers(state, Seed(12).rng(), trials).tolist()))
 repeated = Counter(
-    tuple(poissonized_repetition_oracle(psi, mu, rng).counts.tolist())
-    for _ in range(trials)
+    map(tuple, poissonized_repetition_oracle(psi, mu, Seed(13).rng(), trials).tolist())
 )
 print(f"{'record':>16} {'direct':>8} {'repeated':>9}")
 for record, _ in direct.most_common(6):

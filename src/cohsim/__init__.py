@@ -37,7 +37,6 @@ from .mapping import (
 )
 from .detection import (
     ClickPattern,
-    PhotonRecord,
     click_probabilities,
     multinomial_oracle,
     photon_count_probability,
@@ -96,7 +95,7 @@ __all__ = [
     "map_state", "map_unitary_apply", "overlap_coherent", "parse_bits",
     "phase_encoded_state", "poisson_tail_bound", "solve_alpha_for_overlap",
     "transmitted_info",
-    "ClickPattern", "PhotonRecord", "click_probabilities",
+    "ClickPattern", "click_probabilities",
     "multinomial_oracle", "photon_count_probability",
     "poissonized_repetition_oracle", "sample_click_pattern",
     "sample_photon_numbers",

@@ -109,7 +109,7 @@ def poisson_binomial_exact(probs) -> np.ndarray:
     probs = np.atleast_1d(np.asarray(probs, dtype=np.float64))
     if probs.ndim != 1:
         raise ValueError("probs must be a vector")
-    if np.any((probs < 0.0) | (probs > 1.0)):
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):  # nan fails the test too
         raise ValueError("probabilities must lie in [0, 1]")
     if probs.size > _POISSON_BINOMIAL_CAP:
         raise ValueError(f"size {probs.size} exceeds cap {_POISSON_BINOMIAL_CAP}")

@@ -7,11 +7,12 @@ probability 1 - exp(-|amplitude_k|^2).
 
 Photon counts, when needed, are exact: mode k carries Poisson(|amplitude_k|^2)
 photons independently, which makes the total Poisson(|alpha|^2).  The same
-joint count law arises from a Poisson-distributed number of repetitions of
-the single-photon protocol, each repetition landing in mode k with the
-original outcome probability |lambda_k|^2; ``multinomial_oracle`` and
-``poissonized_repetition_oracle`` are the brute-force reference
-implementations of that equivalence used by the test suite.
+joint count law arises from a Poisson-distributed number of repetitions of the
+single-photon protocol, each repetition landing in mode k with the original
+outcome probability |lambda_k|^2; ``multinomial_oracle`` and
+``poissonized_repetition_oracle`` are the brute-force reference implementations
+of that equivalence used by the test suite.  Both count samplers return one
+record per row of a (trials, d) int64 array.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PureState
+from .core import PureState, _index
 from .mapping import ModeCoherentState
 
 # Refuse to enumerate photon-number records beyond this many compositions.
@@ -54,37 +55,6 @@ class ClickPattern:
         return int(self.clicks.sum())
 
 
-@dataclass(frozen=True, eq=False)
-class PhotonRecord:
-    """Per-mode photon counts from one counting measurement."""
-
-    counts: np.ndarray
-    total: int
-
-    def __post_init__(self) -> None:
-        arr = np.atleast_1d(np.asarray(self.counts, dtype=np.int64))
-        if arr.ndim != 1 or arr.size < 1 or np.any(arr < 0):
-            raise ValueError("counts must be a non-empty vector of non-negative integers")
-        if int(arr.sum()) != int(self.total):
-            raise ValueError("total must equal the sum of per-mode counts")
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "total", int(self.total))
-
-    @classmethod
-    def from_counts(cls, counts) -> "PhotonRecord":
-        arr = np.atleast_1d(np.asarray(counts, dtype=np.int64))
-        return cls(arr, int(arr.sum()))
-
-    @property
-    def dim(self) -> int:
-        return int(self.counts.size)
-
-    def as_clicks(self) -> ClickPattern:
-        """Threshold view of the counts: click in mode k iff count_k >= 1."""
-        return ClickPattern(self.counts >= 1)
-
-
 def click_probabilities(c: ModeCoherentState) -> np.ndarray:
     """Per-mode click probability p_k = 1 - exp(-|amplitude_k|^2)."""
     return -np.expm1(-c.per_mode_mean_photons)
@@ -95,18 +65,27 @@ def sample_click_pattern(c: ModeCoherentState, rng: np.random.Generator) -> Clic
     return ClickPattern(rng.random(c.dim) < click_probabilities(c))
 
 
-def sample_photon_numbers(c: ModeCoherentState, rng: np.random.Generator) -> PhotonRecord:
-    """Exact photon counts: mode k draws Poisson(|amplitude_k|^2) independently."""
-    return PhotonRecord.from_counts(rng.poisson(c.per_mode_mean_photons))
+def sample_photon_numbers(
+    c: ModeCoherentState, rng: np.random.Generator, trials: int
+) -> np.ndarray:
+    """Exact counts of ``trials`` measurements, one per row of a (trials, d) int64 array.
+
+    Mode k draws Poisson(|amplitude_k|^2) independently.  numpy fills the array
+    in C order, so row t is what the t-th of ``trials`` one-row calls would draw.
+    """
+    return rng.poisson(c.per_mode_mean_photons, size=(_index(trials, "trials"), c.dim))
 
 
 def photon_count_probability(c: ModeCoherentState, counts) -> float:
     """Exact probability of a full count record under the product-Poisson law."""
-    counts = np.atleast_1d(np.asarray(counts, dtype=np.int64))
+    counts = np.atleast_1d(np.asarray(counts))
     if counts.size != c.dim:
         raise ValueError("record length does not match the mode count")
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
+    if counts.dtype.kind not in "biu":  # an integer dtype holds whole counts already
+        if not np.all(np.isfinite(counts) & (counts == np.floor(counts))):
+            raise ValueError(f"counts must be integers, got {counts.tolist()!r}")
     means = c.per_mode_mean_photons
     log_p = 0.0
     for m, n in zip(means, counts):
@@ -159,17 +138,16 @@ def multinomial_oracle(s: PureState, n: int) -> dict[tuple[int, ...], float]:
 
 
 def poissonized_repetition_oracle(
-    s: PureState, mu: float, rng: np.random.Generator
-) -> PhotonRecord:
-    """Sample counts as N ~ Poisson(mu) repetitions of the single-photon protocol.
+    s: PureState, mu: float, rng: np.random.Generator, trials: int
+) -> np.ndarray:
+    """Counts of ``trials`` runs of N ~ Poisson(mu) single-photon repetitions.
 
-    Each of the N repetitions lands in mode k with probability |lambda_k|^2;
-    the per-mode tallies are returned.  The joint law is identical to
-    :func:`sample_photon_numbers` on the mapped state with |alpha|^2 = mu.
+    Each of a run's N repetitions lands in mode k with probability |lambda_k|^2;
+    row t of the (trials, d) int64 result holds run t's per-mode tallies.  The
+    law of a row is identical to :func:`sample_photon_numbers` with |alpha|^2 = mu.
     """
     if mu < 0.0:
         raise ValueError("mu must be non-negative")
-    n = int(rng.poisson(mu))
+    n = rng.poisson(mu, _index(trials, "trials"))
     probs = np.abs(s.amplitudes) ** 2
-    counts = rng.multinomial(n, probs / probs.sum())
-    return PhotonRecord.from_counts(counts)
+    return rng.multinomial(n, probs / probs.sum())

@@ -137,12 +137,15 @@ def overlap_coherent(delta: complex, alpha: complex) -> complex:
 
     Equals exp[|alpha|^2 (delta - 1)]; obtained by multiplying the per-mode
     coherent overlaps and using the normalization of both state vectors.
+    A |delta| above 1 by at most 1e-10 is rounding and is scaled onto the unit
+    circle; non-finite input, and an |alpha| whose square overflows, are refused.
     """
-    delta = complex(delta)
-    if abs(delta) > 1.0 + 1e-10:
-        raise ValueError(f"|delta| must be <= 1, got {abs(delta)!r}")
-    mu = float(abs(complex(alpha)) ** 2)
-    return complex(np.exp(mu * (delta - 1.0)))
+    delta, size = complex(delta), abs(complex(alpha))
+    if not abs(delta) <= 1.0 + 1e-10:  # nan fails the test too
+        raise ValueError(f"|delta| must be finite and <= 1, got {abs(delta)!r}")
+    if not size <= math.sqrt(sys.float_info.max):
+        raise ValueError(f"|alpha| must be finite with |alpha|^2 a double, got {alpha!r}")
+    return complex(np.exp(size**2 * (delta / max(1.0, abs(delta)) - 1.0)))
 
 
 def solve_alpha_for_overlap(delta: float, target_delta_alpha: float) -> float:
@@ -196,10 +199,10 @@ def poisson_tail_bound(mu: float, delta: float) -> float:
     """
     mu = float(mu)
     delta = float(delta)
-    if mu < 0.0:
-        raise ValueError("mu must be non-negative")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 <= mu < math.inf:  # nan fails too: the deviance series never ends on it
+        raise ValueError(f"mu must be finite and non-negative, got {mu!r}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     if mu == 0.0:
         return 0.0
     log_raw = math.log(2.0) - _poisson_deviance(mu, delta)
@@ -256,12 +259,12 @@ def effective_dimension_bound(mu: float, delta: int, d: int) -> DimensionBound:
     and the tail probability comes from :func:`poisson_tail_bound`.
     """
     mu = float(mu)
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and non-negative, got {mu!r}")
+    if not 1 <= delta < math.inf:  # nan fails too, before int() can raise on it or on inf
+        raise ValueError(f"delta must be a finite positive integer, got {delta!r}")
     delta = int(delta)
     d = int(d)
-    if mu < 0.0:
-        raise ValueError("mu must be non-negative")
-    if delta < 1:
-        raise ValueError("delta must be a positive integer")
     if d < 1:
         raise ValueError("dimension must be at least 1")
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import binom, poisson
 
 from cohsim import (
@@ -116,6 +118,25 @@ def test_poisson_binomial_input_validation():
         poisson_binomial_exact([0.5, 1.2])
     with pytest.raises(ValueError):
         poisson_binomial_exact(np.full(10_001, 0.1))
+
+
+def test_nan_probabilities_are_refused():
+    # nan passed the range check: an all-nan pmf, and a LecamCheck with nan fields
+    with pytest.raises(ValueError):
+        poisson_binomial_exact([math.nan, 0.2])
+    with pytest.raises(ValueError):
+        lecam_bound_check([math.nan, 0.2], {0})
+
+
+@given(st.lists(st.floats(0.0, 1.0) | st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(),
+                max_size=20))
+def test_any_poisson_binomial_is_a_pmf_or_a_value_error(probs):
+    try:
+        pmf = poisson_binomial_exact(probs)
+    except ValueError:
+        return
+    assert np.all((pmf >= 0.0) & (pmf <= 1.0))
+    assert abs(pmf.sum() - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------

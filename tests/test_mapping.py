@@ -1,10 +1,17 @@
 import decimal
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
+import cohsim
 from cohsim import (
     ModeCoherentState,
     Seed,
@@ -200,6 +207,23 @@ def test_overlap_rejects_impossible_delta():
         overlap_coherent(1.5, 1.0)
 
 
+@pytest.mark.parametrize(
+    "delta, alpha",
+    [(math.nan, 1.0), (complex(0.5, math.nan), 1.0), (0.5, math.nan), (0.5, math.inf),
+     (0.5, complex(1.0, -math.inf)), (0.5, 1e200)],
+)
+def test_overlap_refuses_non_finite_or_overflowing_input(delta, alpha):
+    # (nan, 1.0) returned nan+nanj, and alpha = 1e200 overflowed squaring |alpha|
+    with pytest.raises(ValueError):
+        overlap_coherent(delta, alpha)
+
+
+def test_overlap_takes_a_rounded_unit_delta_as_one():
+    # |delta| = 1 + 1e-12 is rounding; at mu = 1e14 it overflowed exp to inf
+    assert overlap_coherent(1.0 + 1e-12, 1e7) == 1.0
+    assert abs(overlap_coherent(1j * (1.0 + 1e-12), 1.0)) == pytest.approx(math.exp(-1.0))
+
+
 def test_overlap_ordering_regimes_on_grid():
     # small photon number pulls overlaps up, large pushes them down
     deltas = [0.05 * k for k in range(1, 20)]
@@ -286,6 +310,37 @@ def test_poisson_tail_bound_zero_mean():
     assert poisson_tail_bound(0.0, 1.0) == 0.0
 
 
+def test_poisson_tail_bound_refuses_nan_promptly():
+    # The deviance series ran forever on nan; a subprocess keeps a hang from stalling the suite.
+    src = str(Path(cohsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "import math\n"
+        "from cohsim import poisson_tail_bound\n"
+        "for mu, delta in ((math.nan, 1.0), (1.0, math.nan)):\n"
+        "    try:\n"
+        "        poisson_tail_bound(mu, delta)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "mu must be finite and non-negative, got nan",
+        "delta must be finite and positive, got nan",
+    ]
+
+
+@pytest.mark.parametrize("mu, delta, name", [(1.0, math.inf, "delta"), (math.inf, 1.0, "mu")])
+def test_poisson_tail_bound_refuses_infinite_input(mu, delta, name):
+    # delta = inf returned nan
+    with pytest.raises(ValueError, match=name):
+        poisson_tail_bound(mu, delta)
+
+
 def exact_poisson_tail(mu: float, delta: float) -> float:
     """P(|N - mu| >= delta) by direct pmf summation (scipy as the oracle)."""
     lower_cut = math.floor(mu - delta)
@@ -365,3 +420,49 @@ def test_effective_dimension_bound_validation():
         effective_dimension_bound(1.0, 0, 1)
     with pytest.raises(ValueError):
         effective_dimension_bound(1.0, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "mu, delta, name",
+    [(math.inf, 5, "mu"), (math.nan, 5, "mu"), (1.0, math.inf, "delta"), (1.0, math.nan, "delta")],
+)
+def test_effective_dimension_bound_refuses_non_finite_input(mu, delta, name):
+    # mu = inf raised OverflowError, and nan a ValueError naming neither argument
+    with pytest.raises(ValueError, match=name):
+        effective_dimension_bound(mu, delta, 16)
+
+
+# A third of the draws are non-finite, which st.floats() alone seldom gives, and a
+# third lie in the valid range, so each property also reaches past the checks.
+_any_float = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(0.0, 1e308) | st.floats()
+_any_complex = st.complex_numbers(max_magnitude=1.0) | st.builds(complex, _any_float, _any_float)
+
+
+@given(mu=_any_float, delta=_any_float)
+def test_any_poisson_tail_bound_is_a_probability_or_a_value_error(mu, delta):
+    try:
+        bound = poisson_tail_bound(mu, delta)
+    except ValueError:
+        return
+    assert 0.0 <= bound <= 1.0
+
+
+@given(mu=_any_float, delta=_any_float, d=st.integers(1, 2**20))
+def test_any_effective_dimension_bound_is_finite_or_a_value_error(mu, delta, d):
+    try:
+        b = effective_dimension_bound(mu, delta, d)
+    except ValueError:
+        return
+    assert 1.0 <= b.log2_d_alpha_upper < math.inf
+    assert b.d_alpha_upper is None or b.d_alpha_upper >= 1
+    assert 0.0 <= b.tail_probability_upper <= 1.0
+
+
+@given(delta=_any_complex, alpha=_any_complex)
+def test_any_overlap_coherent_is_in_the_unit_disk_or_a_value_error(delta, alpha):
+    try:
+        z = overlap_coherent(delta, alpha)
+    except ValueError:
+        return
+    assert math.isfinite(z.real) and math.isfinite(z.imag)
+    assert abs(z) <= 1.0
