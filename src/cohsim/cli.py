@@ -9,12 +9,10 @@ produce bit-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
-import traceback
 
 import numpy as np
 
@@ -31,28 +29,25 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _json_value(value):
-    if isinstance(value, bool) or not isinstance(value, float):
-        return value
-    return float(f"{value:.12g}")
-
-
 def _emit(args, command: str, params: dict, columns: list[str], rows: list[list]) -> None:
     if args.format == "csv":
+        import csv  # only this format loads the module
+
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        csv.writer(buf, lineterminator="\n").writerows(
+            [columns, *([_fmt_cell(v) for v in row] for row in rows)]
+        )
         text = buf.getvalue()
     else:
+        # JSON floats keep 12 significant digits too (a bool is never a float).
+        cells = lambda row: [float(f"{v:.12g}") if isinstance(v, float) else v for v in row]
         doc = {
             "command": command,
             # qds may read its seed from the config file; its params hold the one used.
             "seed": params.get("seed", getattr(args, "seed", None)),
-            "parameters": {k: _json_value(v) for k, v in params.items()},
+            "parameters": dict(zip(params, cells(params.values()))),
             "columns": columns,
-            "rows": [[_json_value(v) for v in row] for row in rows],
+            "rows": [cells(row) for row in rows],
         }
         text = json.dumps(doc) + "\n"
     if args.out:
@@ -357,6 +352,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:
+        import traceback  # only an internal error loads the module
+
         traceback.print_exc()
         return 2
     return 0

@@ -103,8 +103,8 @@ def click_count_stats(c: ModeCoherentState, d0: int) -> ClickCountStats:
 def poisson_binomial_exact(probs) -> np.ndarray:
     """Exact pmf of a sum of independent Bernoulli(p_k), k = 1..n.
 
-    Dynamic-programming convolution, O(n^2); index k of the result is
-    Pr(sum = k).
+    One convolution with the Bernoulli pmf (1 - p, p) per probability,
+    O(n^2); index k of the result is Pr(sum = k).
     """
     probs = np.atleast_1d(np.asarray(probs, dtype=np.float64))
     if probs.ndim != 1:
@@ -115,10 +115,7 @@ def poisson_binomial_exact(probs) -> np.ndarray:
         raise ValueError(f"size {probs.size} exceeds cap {_POISSON_BINOMIAL_CAP}")
     pmf = np.array([1.0])
     for p in probs:
-        nxt = np.zeros(pmf.size + 1)
-        nxt[:-1] = pmf * (1.0 - p)
-        nxt[1:] += pmf * p
-        pmf = nxt
+        pmf = np.convolve(pmf, (1.0 - p, p))
     return pmf
 
 

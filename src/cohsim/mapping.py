@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PureState, UnitaryOp, _check_same_dim
+from .core import PureState, UnitaryOp, _check_same_dim, _index
 
 # Mode power must reproduce |alpha|^2 to this relative tolerance (absolute below 1).
 MODE_POWER_TOL = 1e-9
@@ -113,7 +113,8 @@ def parse_bits(bits) -> np.ndarray:
             raise ValueError(f"bit string must be non-empty over {{0,1}}: {bits!r}")
         return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     arr = np.atleast_1d(np.asarray(bits))
-    if arr.size < 1 or not np.all((arr == 0) | (arr == 1)):
+    unsigned = arr.dtype.kind in "bu"  # there "every entry is 0 or 1" is one reduction, max <= 1
+    if arr.size < 1 or not (arr.max() <= 1 if unsigned else np.all((arr == 0) | (arr == 1))):
         raise ValueError("bits must be a non-empty sequence of 0/1 values")
     return arr.astype(np.uint8)
 
@@ -264,8 +265,7 @@ def effective_dimension_bound(mu: float, delta: int, d: int) -> DimensionBound:
     if not 1 <= delta < math.inf:  # nan fails too, before int() can raise on it or on inf
         raise ValueError(f"delta must be a finite positive integer, got {delta!r}")
     delta = int(delta)
-    d = int(d)
-    if d < 1:
+    if (d := _index(d, "d")) < 1:
         raise ValueError("dimension must be at least 1")
 
     n_top = math.floor(mu) + delta + d - 1

@@ -24,10 +24,10 @@ Everything is ideal (lossless optics, perfect detectors, shared phase
 reference), so honest runs abort never and verify with zero mismatches.
 Tampering is modeled explicitly: ``flip_revealed`` corrupts a fraction of
 the revealed key bits, ``repudiation`` makes Alice send Charlie states that
-differ from Bob's in a fraction of the modes.  ``run_qds`` evaluates the optics
-once per amplitude level; ``split``, ``usd_measure`` and ``equality_test`` take
-arbitrary states.  Draws are thinned per level and verification reads only the
-modes they touched: after key generation a run costs its clicks, not n.
+differ from Bob's in a fraction of the modes.  A ``QdsConfig`` computes the
+optics once per amplitude level for all its runs; ``split``, ``usd_measure``
+and ``equality_test`` take arbitrary states.  Draws are thinned, and stages
+read key bits only where they drew: past keygen a run costs its clicks, not n.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -176,30 +177,33 @@ def usd_measure(
     return _usd_draw(table, np.arange(c.dim), rng)
 
 
-def _sparse_events(q: np.ndarray, levels: np.ndarray, rng: np.random.Generator):
-    """Modes whose uniform falls below max(q), with those uniforms: exact thinning.
+def _sparse_events(q: np.ndarray, n: int, rng: np.random.Generator):
+    """Modes of n whose uniform falls below max(q), with those uniforms: exact thinning.
 
-    Mode i has event probability q[levels[i]].  Drawing one uniform per mode
-    and keeping those below q_max = max(q) is the same law as drawing
-    K ~ Binomial(n, q_max), then K distinct modes, then one uniform on
+    Each mode has event probability q at its table column.  Drawing one
+    uniform per mode and keeping those below q_max = max(q) is the same law as
+    drawing K ~ Binomial(n, q_max), then K distinct modes, then one uniform on
     [0, q_max) for each, so a stage costs O(n q_max) draws instead of O(n).
     """
     q_max = min(float(q.max()), 1.0)
-    k = rng.binomial(levels.size, q_max)
-    modes = rng.choice(levels.size, k, replace=False, shuffle=False)
+    k = rng.binomial(n, q_max)
+    modes = rng.choice(n, k, replace=False, shuffle=False)
     return modes, rng.random(k) * q_max
 
 
-def _usd_events(table: np.ndarray, levels: np.ndarray, rng: np.random.Generator):
-    """(modes, signs) of the thinned draw: u < P(+) is +1, u < P(+) + P(-) is -1, else 0."""
-    modes, u = _sparse_events(table.sum(axis=0), levels, rng)
-    p_plus, p_minus = table[:, levels[modes]]
+def _usd_events(table: np.ndarray, n: int, column, rng: np.random.Generator):
+    """(modes, signs) of the thinned draw over n modes, at table columns column(modes).
+
+    u < P(+) is +1, u < P(+) + P(-) is -1, else 0.
+    """
+    modes, u = _sparse_events(table.sum(axis=0), n, rng)
+    p_plus, p_minus = table[:, column(modes)]
     return modes, np.where(u < p_plus, 1, np.where(u < p_plus + p_minus, -1, 0)).astype(np.int8)
 
 
 def _usd_draw(table: np.ndarray, levels: np.ndarray, rng: np.random.Generator) -> UsdRecord:
-    """The per-mode record of :func:`_usd_events`."""
-    modes, signs = _usd_events(table, levels, rng)
+    """The per-mode record of :func:`_usd_events`, mode i reading table column levels[i]."""
+    modes, signs = _usd_events(table, levels.size, levels.__getitem__, rng)
     outcomes = np.zeros(levels.size, dtype=np.int8)
     outcomes[modes] = signs
     return UsdRecord(outcomes)
@@ -230,7 +234,7 @@ def equality_test(
     if not 0.0 < float(f) < 1.0:
         raise ValueError("abort fraction f must lie in (0, 1)")
     table = np.array(_click_probabilities(b.mode_amplitudes, c.mode_amplitudes))
-    return _equality_draw(table, np.arange(b.dim), f, rng)
+    return _equality_draw(table, b.dim, lambda modes: modes, f, rng)
 
 
 def _click_probabilities(u, w) -> tuple[np.ndarray, np.ndarray]:
@@ -238,15 +242,16 @@ def _click_probabilities(u, w) -> tuple[np.ndarray, np.ndarray]:
     return tuple(-np.expm1(-np.abs(port) ** 2) for port in beam_splitter(u, w))
 
 
-def _equality_draw(table, levels, f: float, rng: np.random.Generator) -> EqualityTestReport:
-    """Tally EQ and NEQ clicks from the (p_eq, p_neq) rows of table; abort above f.
+def _equality_draw(table, n: int, column, f: float, rng: np.random.Generator) -> EqualityTestReport:
+    """Tally EQ and NEQ clicks over n modes from the (p_eq, p_neq) rows of table; abort above f.
 
-    The ports click independently, and one uniform u per mode carries both:
-    EQ below p_eq, NEQ on [a, a + p_neq) with a = p_eq (1 - p_neq).
+    Drawn modes read table columns column(modes).  The ports click independently,
+    and one uniform u per mode carries both: EQ below p_eq, NEQ on [a, a + p_neq)
+    with a = p_eq (1 - p_neq).
     """
     p_eq, p_neq = table
-    modes, u = _sparse_events(p_eq * (1.0 - p_neq) + p_neq, levels, rng)
-    p_eq, p_neq = table[:, levels[modes]]
+    modes, u = _sparse_events(p_eq * (1.0 - p_neq) + p_neq, n, rng)
+    p_eq, p_neq = table[:, column(modes)]
     eq_only = p_eq * (1.0 - p_neq)
     eq_clicks = int(np.count_nonzero(u < p_eq))
     neq_clicks = int(np.count_nonzero((u >= eq_only) & (u < eq_only + p_neq)))
@@ -363,6 +368,21 @@ class QdsConfig:
         if self.message_bit not in (0, 1):
             raise ValueError("message_bit must be 0 or 1")
 
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The laws per amplitude level, computed once per config and read-only.
+
+        USD column k is the kept copy of key bit k's amplitude; EQ/NEQ column
+        2 * Bob's bit + Charlie's bit compares the two shared copies.
+        """
+        amps = np.array([1.0, -1.0]) * (complex(math.sqrt(self.alpha_sq)) / math.sqrt(self.n))
+        kept, shared = beam_splitter(amps, 0.0)
+        usd = np.array(_usd_probabilities(kept, math.sqrt(self.alpha_sq / (2.0 * self.n))))
+        eq = np.array(_click_probabilities(shared[:, None], shared[None, :])).reshape(2, 4)
+        usd.setflags(write=False)
+        eq.setflags(write=False)
+        return usd, eq
+
     @classmethod
     def from_dict(cls, data: dict) -> "QdsConfig":
         unknown = set(data) - {spec.name for spec in fields(cls)}
@@ -403,50 +423,43 @@ def _flip_mask(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
 def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
     """Execute distribution, symmetrization, and messaging for one run.
 
-    The optics and measurement laws are evaluated once per amplitude level
-    and looked up per mode by key bit.  Every stage draws from its own named
-    stream under ``seed``: "keygen", "tamper", ("usd", b, recipient) and
+    The optics and measurement laws come from ``config.tables`` and are looked
+    up by key bit at the modes each stage drew.  Every stage draws from its own
+    named stream under ``seed``: "keygen", "tamper", ("usd", b, recipient) and
     ("equality", b).
     """
     n = config.n
-    alpha = math.sqrt(config.alpha_sq)
-    beta = math.sqrt(config.alpha_sq / (2.0 * n))
     records: list[StageRecord] = []
 
     keys = keygen(n, seed.child("keygen").rng())
     records.append(StageRecord("keygen", {"n": n}))
 
-    tamper_rng = seed.child("tamper").rng()
-    repudiation_masks = {0: 0, 1: 0}
-    if config.tamper_model == "repudiation":
-        frac = float(config.tamper_params["fraction"])
-        repudiation_masks = {b: _flip_mask(n, frac, tamper_rng) for b in (0, 1)}
+    tamper_rng, no_flips = seed.child("tamper").rng(), np.zeros(n, dtype=np.uint8)
+    # A flip mask from the tamper stream under the config's model, none under the others.
+    flips = lambda model: (_flip_mask(n, config.tamper_params["fraction"], tamper_rng)
+                           if config.tamper_model == model else no_flips)
+    masks = [flips("repudiation") for _ in (0, 1)]  # Charlie receives Bob's key ^ masks[b]
 
-    # Column k: the amplitude phase_encoded_state sends for key bit k, then split.
-    kept, shared = beam_splitter(np.array([1.0, -1.0]) * (complex(alpha) / math.sqrt(n)), 0.0)
-    usd_table = np.array(_usd_probabilities(kept, beta))
-    # Column 2 * Bob's bit + Charlie's bit.
-    eq_table = np.array(_click_probabilities(shared[:, None], shared[None, :])).reshape(2, 4)
-
+    beta = math.sqrt(config.alpha_sq / (2.0 * n))
     distribution = {"alpha_sq": config.alpha_sq, "usd_reference_magnitude": beta}
     records.append(StageRecord("distribution", distribution))
+    usd_table, eq_table = config.tables
     usd_events: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-    pair_index = {}
     for b in (0, 1):
-        bob = keys.key(b)
-        received = {"bob": bob, "charlie": bob ^ repudiation_masks[b]}
-        for who, bits in received.items():
+        bob, mask = keys.key(b), masks[b]
+        columns = {"bob": bob.__getitem__, "charlie": lambda m: bob[m] ^ mask[m]}
+        for who, column in columns.items():
             usd_rng = seed.child("usd", b, who).rng()
-            usd_events[(who, b)] = _, signs = _usd_events(usd_table, bits, usd_rng)
-            plus, minus = (int(np.count_nonzero(signs == sign)) for sign in (1, -1))
+            usd_events[(who, b)] = _, signs = _usd_events(usd_table, n, column, usd_rng)
+            plus, minus = (signs.tolist().count(sign) for sign in (1, -1))
             counts = {"tested": plus + minus, "plus": plus, "minus": minus}
             records.append(StageRecord("usd", {"recipient": who, "key_bit": b, **counts}))
-        pair_index[b] = 2 * bob + received["charlie"]
 
     aborted = False
     for b in (0, 1):
-        eq_rng = seed.child("equality", b).rng()
-        report = _equality_draw(eq_table, pair_index[b], config.f, eq_rng)
+        bob, mask = keys.key(b), masks[b]
+        pair = lambda m: 2 * bob[m] + (bob[m] ^ mask[m])  # eq_table column
+        report = _equality_draw(eq_table, n, pair, config.f, seed.child("equality", b).rng())
         aborted = aborted or report.aborted
         records.append(StageRecord("equality_test", {"key_bit": b, **vars(report)}))
 
@@ -455,12 +468,8 @@ def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
         return QdsTranscript(tuple(records), True, None, None)
 
     b = config.message_bit
-    revealed = keys.key(b)
-    flipped_bits = 0
-    if config.tamper_model == "flip_revealed":
-        mask = _flip_mask(n, float(config.tamper_params["fraction"]), tamper_rng)
-        revealed = revealed ^ mask
-        flipped_bits = int(mask.sum())
+    flipped = flips("flip_revealed")
+    flipped_bits = 0 if flipped is no_flips else int(np.count_nonzero(flipped))
     records.append(StageRecord("reveal", {"message_bit": b, "flipped_bits": flipped_bits}))
 
     verdicts = []
@@ -468,7 +477,8 @@ def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
              ("charlie", config.s_v, VerificationRole.VERIFICATION))
     for who, threshold, role in roles:
         modes, signs = usd_events[(who, b)]
-        verdicts.append(verdict := _verdict(revealed[modes], signs, threshold, role))
+        revealed = keys.key(b)[modes] ^ flipped[modes]
+        verdicts.append(verdict := _verdict(revealed, signs, threshold, role))
         tally = ("mismatches", "tested", "fraction", "threshold", "accept")
         data = {"recipient": who, **{key: getattr(verdict, key) for key in tally}}
         records.append(StageRecord(role.value, data))

@@ -124,6 +124,16 @@ def test_cli_import_leaves_scipy_out():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_csv_and_traceback_to_the_paths_that_use_them():
+    src = str(Path(cohsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = "import sys, cohsim.cli; print(sorted({'csv', 'traceback'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_json_output_validates_against_shipped_schema(capsys, tmp_path):
     schema = load_schema()
     out_file = tmp_path / "sweep.json"

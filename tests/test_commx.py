@@ -139,6 +139,27 @@ def test_any_poisson_binomial_is_a_pmf_or_a_value_error(probs):
     assert abs(pmf.sum() - 1.0) < 1e-9
 
 
+def _dp_poisson_binomial(probs):
+    """Reference: the dynamic program, each entry pmf[k] (1 - p) + pmf[k - 1] p."""
+    pmf = np.array([1.0])
+    for p in probs:
+        nxt = np.zeros(pmf.size + 1)
+        nxt[:-1] = pmf * (1.0 - p)
+        nxt[1:] += pmf * p
+        pmf = nxt
+    return pmf
+
+
+@given(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]), min_size=1, max_size=60))
+def test_poisson_binomial_equals_the_dynamic_program_bit_for_bit(probs):
+    np.testing.assert_array_equal(poisson_binomial_exact(probs), _dp_poisson_binomial(probs))
+
+
+def test_poisson_binomial_equals_the_dynamic_program_at_the_cap():
+    probs = Seed(31).rng().uniform(0.0, 1.0, 10_000)
+    np.testing.assert_array_equal(poisson_binomial_exact(probs), _dp_poisson_binomial(probs))
+
+
 # ---------------------------------------------------------------------------
 # Poisson approximation bound
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from cohsim import (
     random_unitary,
     uniform_state,
 )
+from cohsim.core import _spawn_key
 
 HADAMARD = UnitaryOp(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
 
@@ -169,6 +170,38 @@ def test_seed_child_extends_the_path():
 
 def test_seed_without_a_path_is_numpy_default_rng_of_the_master_seed():
     np.testing.assert_array_equal(Seed(33).rng().random(8), np.random.default_rng(33).random(8))
+
+
+# Seed.rng assembles SeedSequence's entropy itself; these pin it to NumPy's own
+# assembly, so a NumPy release that changed SeedSequence would fail here.
+@pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("path", [(), ("keygen",), ("usd", 1, "charlie"), (2**40,), ("nœud→σ",)])
+def test_seed_streams_are_numpy_seed_sequence_streams(master, path):
+    ours = Seed(master).child(*path).rng()
+    numpy_ss = np.random.SeedSequence(master, spawn_key=_spawn_key(path))
+    np.testing.assert_array_equal(
+        ours.bit_generator.seed_seq.generate_state(8), numpy_ss.generate_state(8)
+    )
+    theirs = np.random.default_rng(numpy_ss)
+    np.testing.assert_array_equal(ours.integers(0, 2**63, 4), theirs.integers(0, 2**63, 4))
+    np.testing.assert_array_equal(ours.random(4), theirs.random(4))
+    direct = Seed(master, path).rng()
+    np.testing.assert_array_equal(direct.random(4), Seed(master).child(*path).rng().random(4))
+
+
+@pytest.mark.parametrize(
+    "master, path, head",
+    [
+        (5, ("keygen",), [8851013023958489176, 5988380284351781657,
+                          1758731300131739306, 6346734010945100703]),
+        (2**64 - 1, ("usd", 1, "charlie"), [4388104325059307093, 3077427983348128254,
+                                            4359092864905280595, 4847239470603552212]),
+        (2**32, (7, "equality", 0), [3577659354808043165, 60576001547806458,
+                                     3271260129212650866, 4221538673624306214]),
+    ],
+)
+def test_named_streams_keep_their_recorded_draws(master, path, head):
+    assert Seed(master).child(*path).rng().integers(0, 2**63, 4).tolist() == head
 
 
 # Paths that a flat counter or a naive flattening of keys would confuse.

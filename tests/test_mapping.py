@@ -432,6 +432,18 @@ def test_effective_dimension_bound_refuses_non_finite_input(mu, delta, name):
         effective_dimension_bound(mu, delta, 16)
 
 
+# d = inf raised OverflowError, nan a ValueError not naming d, 2.5 was truncated
+# to 2 and True read as 1.
+@pytest.mark.parametrize("d", [math.inf, math.nan, 2.5, True])
+def test_effective_dimension_bound_refuses_a_non_integer_d(d):
+    with pytest.raises(TypeError, match="d must be an integer"):
+        effective_dimension_bound(1.0, 5, d)
+
+
+def test_effective_dimension_bound_accepts_a_numpy_integer_d():
+    assert effective_dimension_bound(1.0, 5, np.int64(16)) == effective_dimension_bound(1.0, 5, 16)
+
+
 # A third of the draws are non-finite, which st.floats() alone seldom gives, and a
 # third lie in the valid range, so each property also reaches past the checks.
 _any_float = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(0.0, 1e308) | st.floats()

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import warnings
@@ -533,6 +534,24 @@ def test_run_qds_evaluates_the_usd_law_on_amplitude_levels(monkeypatch):
     assert t.accepted_by_both
 
 
+@pytest.mark.parametrize("tamper_model", ["none", "flip_revealed", "repudiation"])
+def test_run_qds_evaluates_its_laws_once_per_config(monkeypatch, tamper_model):
+    calls = collections.Counter()
+
+    def counted(name):
+        law = getattr(qds, name)
+        return lambda *args: calls.update([name]) or law(*args)
+
+    for name in ("_usd_probabilities", "_click_probabilities"):
+        monkeypatch.setattr(qds, name, counted(name))
+    params = {} if tamper_model == "none" else {"fraction": 0.01}
+    config = QdsConfig(n=512, alpha_sq=36.0, tamper_model=tamper_model, tamper_params=params)
+    for run in range(50):
+        run_qds(config, Seed(152).child(run))
+    assert calls == {"_usd_probabilities": 1, "_click_probabilities": 1}
+    assert not any(table.flags.writeable for table in config.tables)
+
+
 def test_vanishing_reference_magnitude_is_inconclusive_without_warnings():
     # alpha_sq / (2n) underflows to 0, so beta = 0 and the USD law would be 0/0.
     with warnings.catch_warnings():
@@ -590,7 +609,8 @@ def test_sparse_equality_counts_are_binomial(p_eq, p_neq):
     n, runs = 400, 300
     table = np.array([[p_eq], [p_neq]])
     rng = Seed(172).rng()
-    reports = [_equality_draw(table, np.zeros(n, dtype=np.uint8), 0.5, rng) for _ in range(runs)]
+    column = np.zeros(n, dtype=np.uint8).__getitem__
+    reports = [_equality_draw(table, n, column, 0.5, rng) for _ in range(runs)]
     neq = np.array([r.neq_clicks for r in reports])
     eq = np.array([r.total_clicks for r in reports]) - neq
     for counts, p in ((eq, p_eq), (neq, p_neq)):
@@ -646,7 +666,7 @@ def test_detection_draws_scale_with_clicks_not_modes():
     rec = _usd_draw(usd_table, modes, usd_rng)
     eq_rng = _RecordingGenerator(Seed(176).rng())
     eq_table = np.array(_click_probabilities(shared.mode_amplitudes, shared.mode_amplitudes))
-    report = _equality_draw(eq_table, modes, 0.01, eq_rng)
+    report = _equality_draw(eq_table, n, modes.__getitem__, 0.01, eq_rng)
     # About 9 clicks a stage are expected; each costs two draws.
     assert usd_rng.sizes and eq_rng.sizes
     assert sum(usd_rng.sizes) + sum(eq_rng.sizes) < n / 200
