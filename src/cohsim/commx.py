@@ -149,9 +149,7 @@ def lecam_bound_check(probs, event: Iterable[int]) -> LecamCheck:
     are exact pmf sums.
     """
     probs = np.atleast_1d(np.asarray(probs, dtype=np.float64))
-    event_set = {int(a) for a in event}
-    if any(a < 0 for a in event_set):
-        raise ValueError("event must contain non-negative integers")
+    event_set = {_index(a, "event") for a in event}
     pmf = poisson_binomial_exact(probs)
     mu = float(probs.sum())
     tau = float((probs**2).sum())

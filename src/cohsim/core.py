@@ -2,9 +2,10 @@
 
 States and operators are immutable value objects backed by numpy arrays, and
 every operation is a pure function of its inputs.  Randomness is always routed
-through an explicit :class:`Seed`: runners name one stream per experiment
-stage with :meth:`Seed.child` and hand its ``np.random.Generator`` to the
-functions that draw, so a fixed seed reproduces bit-identical results.
+through an explicit :class:`Seed`: runners name their streams with
+:meth:`Seed.child` (one per experiment, or per independent part of one) and
+hand each stream's ``np.random.Generator`` to the functions that draw, in a
+fixed order, so a fixed seed reproduces bit-identical results.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _index(value, what: str) -> int:
 class Seed:
     """Root of all randomness: a master seed and a path of named keys.
 
-    ``Seed(master).child("usd", b)`` names one random stream; each key is a
+    ``Seed(master).child("mc", i)`` names one random stream; each key is a
     ``str`` or a non-negative ``int``.  The path becomes the ``spawn_key`` of
     a NumPy ``SeedSequence``, so distinct paths give independent streams.
     """

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Seed, UnitaryOp
+from .core import Seed, UnitaryOp, _index
 from .detection import sample_click_pattern
 from .mapping import ModeCoherentState, beam_splitter, parse_bits, phase_encoded_state
 
@@ -146,6 +146,7 @@ def run_experiment(
     per experiment from the stream ``seed.child("setup")``.  All trials draw,
     one after another, from the one stream ``seed.child("trials")``.
     """
+    trials = _index(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     setup_rng = seed.child("setup").rng()

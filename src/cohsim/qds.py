@@ -26,8 +26,8 @@ Tampering is modeled explicitly: ``flip_revealed`` corrupts a fraction of
 the revealed key bits, ``repudiation`` makes Alice send Charlie states that
 differ from Bob's in a fraction of the modes.  A ``QdsConfig`` computes the
 optics once per amplitude level for all its runs; ``split``, ``usd_measure``
-and ``equality_test`` take arbitrary states.  Draws are thinned, and stages
-read key bits only where they drew: past keygen a run costs its clicks, not n.
+and ``equality_test`` take arbitrary states.  One generator per run, thinned
+draws, key bits read only where drawn: past keygen a run costs its clicks, not n.
 """
 
 from __future__ import annotations
@@ -69,11 +69,11 @@ class PrivateKeys:
 
 
 def keygen(n: int, rng: np.random.Generator) -> PrivateKeys:
-    """Two independent uniform n-bit strings, unpacked from ceil(n / 8) random bytes each."""
+    """Two independent uniform n-bit strings, unpacked from one draw of 2 ceil(n / 8) bytes."""
     if n < 1:
         raise ValueError("key length must be at least 1")
-    draw = lambda: np.unpackbits(np.frombuffer(rng.bytes(-(-n // 8)), np.uint8), count=n)
-    return PrivateKeys(draw(), draw())
+    raw = np.frombuffer(rng.bytes(2 * -(-n // 8)), np.uint8).reshape(2, -1)
+    return PrivateKeys(*np.unpackbits(raw, axis=1, count=n))
 
 
 def split(c: ModeCoherentState) -> tuple[ModeCoherentState, ModeCoherentState]:
@@ -177,33 +177,39 @@ def usd_measure(
     return _usd_draw(table, np.arange(c.dim), rng)
 
 
-def _sparse_events(q: np.ndarray, n: int, rng: np.random.Generator):
-    """Modes of n whose uniform falls below max(q), with those uniforms: exact thinning.
+def _sparse_events(q_max: float, n: int, rng: np.random.Generator):
+    """Sorted modes of n whose uniform falls below q_max, with those uniforms: exact thinning.
 
-    Each mode has event probability q at its table column.  Drawing one
-    uniform per mode and keeping those below q_max = max(q) is the same law as
-    drawing K ~ Binomial(n, q_max), then K distinct modes, then one uniform on
-    [0, q_max) for each, so a stage costs O(n q_max) draws instead of O(n).
+    Keeping the modes whose uniform is below q_max is a Bernoulli(q_max)
+    process, drawn as geometric gaps, then one uniform on [0, q_max) per
+    event: a stage costs O(n q_max) draws, not O(n).  Gaps are clipped at
+    n + 1, since near q_max = 1e-300 numpy returns 2**63 - 1 and cumsum wraps.
     """
-    q_max = min(float(q.max()), 1.0)
-    k = rng.binomial(n, q_max)
-    modes = rng.choice(n, k, replace=False, shuffle=False)
-    return modes, rng.random(k) * q_max
+    q_max = min(q_max, 1.0)
+    if q_max <= 0.0:
+        return np.empty(0, np.int64), np.empty(0)
+    chunk = int(n * q_max + 6.0 * math.sqrt(n * q_max)) + 8
+    ends = lambda: np.minimum(rng.geometric(q_max, chunk), n + 1).cumsum()
+    modes = ends() - 1
+    while modes[-1] < n:
+        modes = np.concatenate((modes, modes[-1] + ends()))
+    modes = modes[: modes.searchsorted(n)]
+    return modes, rng.random(modes.size) * q_max
 
 
-def _usd_events(table: np.ndarray, n: int, column, rng: np.random.Generator):
+def _usd_events(table: np.ndarray, q_max: float, n: int, column, rng: np.random.Generator):
     """(modes, signs) of the thinned draw over n modes, at table columns column(modes).
 
-    u < P(+) is +1, u < P(+) + P(-) is -1, else 0.
+    q_max is the largest P(+) + P(-) of the table; u < P(+) is +1, u < P(+) + P(-) is -1, else 0.
     """
-    modes, u = _sparse_events(table.sum(axis=0), n, rng)
-    p_plus, p_minus = table[:, column(modes)]
-    return modes, np.where(u < p_plus, 1, np.where(u < p_plus + p_minus, -1, 0)).astype(np.int8)
+    modes, u = _sparse_events(q_max, n, rng)
+    p_plus, p_minus = table.take(column(modes), axis=1)
+    return modes, 2 * (u < p_plus).view(np.int8) - (u < p_plus + p_minus).view(np.int8)
 
 
 def _usd_draw(table: np.ndarray, levels: np.ndarray, rng: np.random.Generator) -> UsdRecord:
     """The per-mode record of :func:`_usd_events`, mode i reading table column levels[i]."""
-    modes, signs = _usd_events(table, levels.size, levels.__getitem__, rng)
+    modes, signs = _usd_events(table, table.sum(axis=0).max(), levels.size, levels.__getitem__, rng)
     outcomes = np.zeros(levels.size, dtype=np.int8)
     outcomes[modes] = signs
     return UsdRecord(outcomes)
@@ -234,7 +240,7 @@ def equality_test(
     if not 0.0 < float(f) < 1.0:
         raise ValueError("abort fraction f must lie in (0, 1)")
     table = np.array(_click_probabilities(b.mode_amplitudes, c.mode_amplitudes))
-    return _equality_draw(table, b.dim, lambda modes: modes, f, rng)
+    return _equality_draw(table, _click_rate(table), b.dim, lambda modes: modes, f, rng)
 
 
 def _click_probabilities(u, w) -> tuple[np.ndarray, np.ndarray]:
@@ -242,16 +248,20 @@ def _click_probabilities(u, w) -> tuple[np.ndarray, np.ndarray]:
     return tuple(-np.expm1(-np.abs(port) ** 2) for port in beam_splitter(u, w))
 
 
-def _equality_draw(table, n: int, column, f: float, rng: np.random.Generator) -> EqualityTestReport:
+def _click_rate(table) -> float:
+    """Largest probability, over a (p_eq, p_neq) table's columns, that either port clicks."""
+    return (table[0] * (1.0 - table[1]) + table[1]).max()
+
+
+def _equality_draw(table, q_max: float, n: int, column, f: float, rng) -> EqualityTestReport:
     """Tally EQ and NEQ clicks over n modes from the (p_eq, p_neq) rows of table; abort above f.
 
-    Drawn modes read table columns column(modes).  The ports click independently,
-    and one uniform u per mode carries both: EQ below p_eq, NEQ on [a, a + p_neq)
-    with a = p_eq (1 - p_neq).
+    q_max is the table's :func:`_click_rate`; drawn modes read table columns
+    column(modes).  The ports click independently, and one uniform u per mode
+    carries both: EQ below p_eq, NEQ on [a, a + p_neq) with a = p_eq (1 - p_neq).
     """
-    p_eq, p_neq = table
-    modes, u = _sparse_events(p_eq * (1.0 - p_neq) + p_neq, n, rng)
-    p_eq, p_neq = table[:, column(modes)]
+    modes, u = _sparse_events(q_max, n, rng)
+    p_eq, p_neq = table.take(column(modes), axis=1)
     eq_only = p_eq * (1.0 - p_neq)
     eq_clicks = int(np.count_nonzero(u < p_eq))
     neq_clicks = int(np.count_nonzero((u >= eq_only) & (u < eq_only + p_neq)))
@@ -299,9 +309,9 @@ def verify_message(
 
 def _verdict(key_bits, signs, threshold: float, role: VerificationRole) -> VerificationVerdict:
     """Tally the non-zero signs that differ from (-1)^key_bits at the same positions."""
-    conclusive = signs != 0
-    mismatches = int(np.count_nonzero(conclusive & (signs != 1 - 2 * key_bits.astype(np.int8))))
-    tested = int(np.count_nonzero(conclusive))
+    # The expected sign is 1 - 2 k, so a conclusive sign contradicts bit k when it is 2 k - 1.
+    mismatches = int(np.count_nonzero(signs == 2 * key_bits.astype(np.int8) - 1))
+    tested = int(np.count_nonzero(signs))
     fraction = mismatches / max(tested, 1)
     return VerificationVerdict(
         mismatches=mismatches,
@@ -369,19 +379,21 @@ class QdsConfig:
             raise ValueError("message_bit must be 0 or 1")
 
     @cached_property
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The laws per amplitude level, computed once per config and read-only.
+    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The laws per amplitude level and their thinning rates, once per config and read-only.
 
         USD column k is the kept copy of key bit k's amplitude; EQ/NEQ column
-        2 * Bob's bit + Charlie's bit compares the two shared copies.
+        2 * Bob's bit + Charlie's bit compares the two shared copies.  The third array
+        holds each table's largest event probability, the q_max its stages thin at.
         """
         amps = np.array([1.0, -1.0]) * (complex(math.sqrt(self.alpha_sq)) / math.sqrt(self.n))
         kept, shared = beam_splitter(amps, 0.0)
         usd = np.array(_usd_probabilities(kept, math.sqrt(self.alpha_sq / (2.0 * self.n))))
         eq = np.array(_click_probabilities(shared[:, None], shared[None, :])).reshape(2, 4)
-        usd.setflags(write=False)
-        eq.setflags(write=False)
-        return usd, eq
+        rates = np.array([usd.sum(axis=0).max(), _click_rate(eq)])
+        for table in (usd, eq, rates):
+            table.setflags(write=False)
+        return usd, eq, rates
 
     @classmethod
     def from_dict(cls, data: dict) -> "QdsConfig":
@@ -424,42 +436,43 @@ def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
     """Execute distribution, symmetrization, and messaging for one run.
 
     The optics and measurement laws come from ``config.tables`` and are looked
-    up by key bit at the modes each stage drew.  Every stage draws from its own
-    named stream under ``seed``: "keygen", "tamper", ("usd", b, recipient) and
-    ("equality", b).
+    up by key bit at the modes each stage drew.  All stages draw, in protocol
+    order, from the one generator ``seed.rng()``: keygen, the repudiation masks,
+    the four USD stages, the two equality tests, then the flip_revealed mask.
     """
     n = config.n
     records: list[StageRecord] = []
+    rng = seed.rng()
 
-    keys = keygen(n, seed.child("keygen").rng())
+    keys = keygen(n, rng)
     records.append(StageRecord("keygen", {"n": n}))
 
-    tamper_rng, no_flips = seed.child("tamper").rng(), np.zeros(n, dtype=np.uint8)
-    # A flip mask from the tamper stream under the config's model, none under the others.
-    flips = lambda model: (_flip_mask(n, config.tamper_params["fraction"], tamper_rng)
+    no_flips = np.zeros(n, dtype=np.uint8)
+    # A flip mask under the config's model, none under the others.
+    flips = lambda model: (_flip_mask(n, config.tamper_params["fraction"], rng)
                            if config.tamper_model == model else no_flips)
-    masks = [flips("repudiation") for _ in (0, 1)]  # Charlie receives Bob's key ^ masks[b]
+    masks = [flips("repudiation") for _ in (0, 1)]
+    # Per key bit b, Bob's and Charlie's bits (Bob's key ^ masks[b]) at the drawn modes.
+    bits = [(key.__getitem__, lambda m, key=key, mask=mask: key[m] ^ mask[m])
+            for key, mask in zip((keys.k0, keys.k1), masks)]
 
     beta = math.sqrt(config.alpha_sq / (2.0 * n))
     distribution = {"alpha_sq": config.alpha_sq, "usd_reference_magnitude": beta}
     records.append(StageRecord("distribution", distribution))
-    usd_table, eq_table = config.tables
+    usd_table, eq_table, rates = config.tables
+    usd_rate, eq_rate = rates.tolist()
     usd_events: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-    for b in (0, 1):
-        bob, mask = keys.key(b), masks[b]
-        columns = {"bob": bob.__getitem__, "charlie": lambda m: bob[m] ^ mask[m]}
-        for who, column in columns.items():
-            usd_rng = seed.child("usd", b, who).rng()
-            usd_events[(who, b)] = _, signs = _usd_events(usd_table, n, column, usd_rng)
+    for b, columns in enumerate(bits):
+        for who, column in zip(("bob", "charlie"), columns):
+            usd_events[(who, b)] = _, signs = _usd_events(usd_table, usd_rate, n, column, rng)
             plus, minus = (signs.tolist().count(sign) for sign in (1, -1))
             counts = {"tested": plus + minus, "plus": plus, "minus": minus}
             records.append(StageRecord("usd", {"recipient": who, "key_bit": b, **counts}))
 
     aborted = False
-    for b in (0, 1):
-        bob, mask = keys.key(b), masks[b]
-        pair = lambda m: 2 * bob[m] + (bob[m] ^ mask[m])  # eq_table column
-        report = _equality_draw(eq_table, n, pair, config.f, seed.child("equality", b).rng())
+    for b, (bob, charlie) in enumerate(bits):
+        pair = lambda m: 2 * bob(m) + charlie(m)  # eq_table column
+        report = _equality_draw(eq_table, eq_rate, n, pair, config.f, rng)
         aborted = aborted or report.aborted
         records.append(StageRecord("equality_test", {"key_bit": b, **vars(report)}))
 

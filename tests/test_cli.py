@@ -242,12 +242,15 @@ def test_qds_tamper_config_rejects(capsys, tmp_path):
 
 
 def test_qds_vanishing_reference_magnitude_exits_zero(capsys, tmp_path):
-    # alpha_sq / (2n) underflows to 0: every USD outcome is inconclusive, nothing is nan
-    path = write_config(tmp_path, n=4, alpha_sq=5e-324, trials=1)
-    code, out, _ = run_cli(capsys, "qds", "--config", str(path))
-    assert code == 0
-    _, rows = parse_csv(out)
-    assert [r[3] for r in rows if r[1] == "usd" and r[2] == "tested"] == ["0"] * 4
+    # At 5e-324, alpha_sq / (2n) underflows to 0: every USD outcome is inconclusive,
+    # nothing is nan.  At 1e-300 every stage thins at q_max = 1e-300, where numpy
+    # draws geometric gaps of 2**63 - 1.
+    for n, alpha_sq in ((4, 5e-324), (1, 1e-300)):
+        path = write_config(tmp_path, n=n, alpha_sq=alpha_sq, trials=1)
+        code, out, _ = run_cli(capsys, "qds", "--config", str(path))
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[3] for r in rows if r[1] == "usd" and r[2] == "tested"] == ["0"] * 4
 
 
 def test_qds_power_per_mode_past_double_resolution_exits_one(tmp_path):

@@ -196,6 +196,20 @@ def test_lecam_bound_event_beyond_support():
     assert check.holds
 
 
+@pytest.mark.parametrize("event", [[0.1, 0.2], [0.5, 1.7], [True], {np.float64(1.0)}, ["1"]])
+def test_lecam_bound_refuses_non_integer_event_members(event):
+    # int() once truncated these onto {0, 1} and evaluated the bound there.
+    with pytest.raises(TypeError, match="event"):
+        lecam_bound_check([0.1, 0.2], event)
+
+
+def test_lecam_bound_refuses_negative_event_members():
+    with pytest.raises(ValueError, match="event"):
+        lecam_bound_check([0.1, 0.2], {0, -1})
+    # NumPy integers are integers
+    assert lecam_bound_check([0.1, 0.2], {np.int64(1)}) == lecam_bound_check([0.1, 0.2], {1})
+
+
 def test_lecam_bound_random_sweep():
     rng = Seed(81).rng()
     for _ in range(100):

@@ -270,6 +270,13 @@ def test_run_experiment_validates_inputs():
         run_experiment(6, FIG_MATCHING, "010101", 1.0, 0, Seed(109))
 
 
+@pytest.mark.parametrize("trials", [True, 2.5, "100"])
+def test_run_experiment_refuses_non_integer_trials(trials):
+    # True once ran as one trial and 2.5 failed inside range() without naming trials.
+    with pytest.raises(TypeError, match="trials"):
+        run_experiment(6, FIG_MATCHING, "010101", 1.0, trials, Seed(109))
+
+
 def test_run_experiment_input_length_must_match():
     with pytest.raises(ValueError):
         run_experiment(6, FIG_MATCHING, "01", 1.0, 100, Seed(109))

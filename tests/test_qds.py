@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from cohsim import (
     ModeCoherentState,
@@ -25,8 +26,10 @@ from cohsim import (
 from cohsim.qds import (
     StageRecord,
     _click_probabilities,
+    _click_rate,
     _equality_draw,
     _flip_mask,
+    _sparse_events,
     _usd_draw,
     _usd_probabilities,
 )
@@ -368,6 +371,36 @@ def test_repudiation_aborts_at_the_equality_test():
     assert aborts / 200 > 0.97
 
 
+def test_tampered_runs_follow_their_exact_binomial_laws():
+    # A fifth of the 512 modes tampered at |alpha|^2 = 36.  Every EQ or NEQ port
+    # that receives light clicks with p = 1 - e^{-|alpha|^2 / n}, which is also
+    # the conclusive USD rate, so both laws count k_bad of the tampered modes
+    # against k_good of the others, independent Binomials at p.
+    n, alpha_sq, runs = 512, 36.0, 3000
+    p = -math.expm1(-alpha_sq / n)
+    bad = round(0.2 * n)
+    k_bad, k_good = np.arange(bad + 1)[:, None], np.arange(n - bad + 1)[None, :]
+    joint = binom.pmf(k_bad, bad, p) * binom.pmf(k_good, n - bad, p)
+    share = k_bad / np.maximum(k_bad + k_good, 1)
+    # repudiation: each key bit's test aborts when its NEQ share exceeds f = 0.2
+    p_abort = 1.0 - (1.0 - joint[share > 0.2].sum()) ** 2
+    # flip_revealed: Bob accepts while his mismatch share stays below s_a = 0.2
+    p_accept = joint[share < 0.2].sum()
+    assert p_abort == pytest.approx(0.71114, abs=1e-5)
+    assert p_accept == pytest.approx(0.50253, abs=1e-5)
+    params = {"fraction": 0.2}
+    repudiation = QdsConfig(n=n, alpha_sq=alpha_sq, f=0.2,
+                            tamper_model="repudiation", tamper_params=params)
+    flip = QdsConfig(n=n, alpha_sq=alpha_sq, s_a=0.2, s_v=0.5,
+                     tamper_model="flip_revealed", tamper_params=params)
+    bob_accepts = lambda t: not t.aborted and t.bob_verdict.accept
+    laws = ((repudiation, Seed(178), lambda t: t.aborted, p_abort),
+            (flip, Seed(179), bob_accepts, p_accept))
+    for config, seed, outcome, p_exact in laws:
+        count = sum(outcome(run_qds(config, seed.child(k))) for k in range(runs))
+        assert abs(count / runs - p_exact) <= 5.0 * math.sqrt(p_exact * (1.0 - p_exact) / runs)
+
+
 def test_conclusive_fraction_matches_closed_form():
     config = QdsConfig(n=512, alpha_sq=9.0)
     tested = 0
@@ -411,7 +444,7 @@ def test_runs_and_stages_draw_from_pairwise_distinct_streams(monkeypatch):
     config = QdsConfig(n=16, alpha_sq=9.0)
     for run in range(4):
         run_qds(config, Seed(144).child(run))
-    assert len(streams) == 4 * 8  # keygen, tamper, four USD, two equality tests
+    assert len(streams) == 4 * 1  # every stage of a run draws from the run's one generator
     assert len(set(streams)) == len(streams)
     heads = {tuple(rng(s).integers(0, 2**63, 4)) for s in streams}
     assert len(heads) == len(streams)
@@ -459,18 +492,18 @@ def test_config_accepts_integer_valued_reals():
 def _reference_run(config, seed):
     """Records of run_qds, mode by mode through the library's general state path.
 
-    Every stage draws from the same named stream as run_qds, so the two must
-    agree exactly.
+    Every stage draws from the run's one generator in the same order as run_qds,
+    so the two must agree exactly.
     """
     n, b_msg = config.n, config.message_bit
     alpha = math.sqrt(config.alpha_sq)
     beta = math.sqrt(config.alpha_sq / (2.0 * n))
-    keys = keygen(n, seed.child("keygen").rng())
-    tamper_rng = seed.child("tamper").rng()
+    rng = seed.rng()
+    keys = keygen(n, rng)
     fraction = config.tamper_params.get("fraction")
     masks = {0: 0, 1: 0}
     if config.tamper_model == "repudiation":
-        masks = {b: _flip_mask(n, fraction, tamper_rng) for b in (0, 1)}
+        masks = {b: _flip_mask(n, fraction, rng) for b in (0, 1)}
     records = [
         StageRecord("keygen", {"n": n}),
         StageRecord("distribution", {"alpha_sq": config.alpha_sq, "usd_reference_magnitude": beta}),
@@ -479,13 +512,12 @@ def _reference_run(config, seed):
     for b in (0, 1):
         for who, bits in (("bob", keys.key(b)), ("charlie", keys.key(b) ^ masks[b])):
             kept, shared[who, b] = split(phase_encoded_state(bits, alpha))
-            rec = usd[who, b] = usd_measure(kept, beta, seed.child("usd", b, who).rng())
+            rec = usd[who, b] = usd_measure(kept, beta, rng)
             counts = {"tested": rec.tested, "plus": int(np.sum(rec.outcomes == 1)),
                       "minus": int(np.sum(rec.outcomes == -1))}
             records.append(StageRecord("usd", {"recipient": who, "key_bit": b, **counts}))
     aborted = False
     for b in (0, 1):
-        rng = seed.child("equality", b).rng()
         report = equality_test(shared["bob", b], shared["charlie", b], config.f, rng)
         aborted = aborted or report.aborted
         records.append(StageRecord("equality_test", {
@@ -497,7 +529,7 @@ def _reference_run(config, seed):
     revealed = keys.key(b_msg)
     flipped = np.zeros(n, dtype=np.uint8)
     if config.tamper_model == "flip_revealed":
-        flipped = _flip_mask(n, fraction, tamper_rng)
+        flipped = _flip_mask(n, fraction, rng)
     records.append(StageRecord("reveal", {"message_bit": b_msg, "flipped_bits": int(flipped.sum())}))
     roles = (("bob", config.s_a, VerificationRole.AUTHENTICATION),
              ("charlie", config.s_v, VerificationRole.VERIFICATION))
@@ -610,7 +642,7 @@ def test_sparse_equality_counts_are_binomial(p_eq, p_neq):
     table = np.array([[p_eq], [p_neq]])
     rng = Seed(172).rng()
     column = np.zeros(n, dtype=np.uint8).__getitem__
-    reports = [_equality_draw(table, n, column, 0.5, rng) for _ in range(runs)]
+    reports = [_equality_draw(table, _click_rate(table), n, column, 0.5, rng) for _ in range(runs)]
     neq = np.array([r.neq_clicks for r in reports])
     eq = np.array([r.total_clicks for r in reports]) - neq
     for counts, p in ((eq, p_eq), (neq, p_neq)):
@@ -638,17 +670,18 @@ def test_run_qds_counts_are_binomial_in_the_dense_regime():
 
 
 class _RecordingGenerator:
-    """Forwards every draw to a Generator and records how many values it returned."""
+    """Forwards every draw to a Generator; records each method and how many values it returned."""
 
     def __init__(self, rng):
         self._rng = rng
-        self.sizes = []
+        self.names, self.sizes = [], []
 
     def __getattr__(self, name):
         method = getattr(self._rng, name)
 
         def draw(*args, **kwargs):
             out = method(*args, **kwargs)
+            self.names.append(name)
             self.sizes.append(int(np.size(out)))
             return out
 
@@ -666,11 +699,45 @@ def test_detection_draws_scale_with_clicks_not_modes():
     rec = _usd_draw(usd_table, modes, usd_rng)
     eq_rng = _RecordingGenerator(Seed(176).rng())
     eq_table = np.array(_click_probabilities(shared.mode_amplitudes, shared.mode_amplitudes))
-    report = _equality_draw(eq_table, n, modes.__getitem__, 0.01, eq_rng)
+    report = _equality_draw(eq_table, _click_rate(eq_table), n, modes.__getitem__, 0.01, eq_rng)
     # About 9 clicks a stage are expected; each costs two draws.
     assert usd_rng.sizes and eq_rng.sizes
     assert sum(usd_rng.sizes) + sum(eq_rng.sizes) < n / 200
     assert 0 < rec.tested and 0 < report.total_clicks and report.neq_clicks == 0
+
+
+def test_honest_run_draws_from_one_generator_without_choice(monkeypatch):
+    generators = []
+    rng = Seed.rng
+    recording = lambda self: generators.append(_RecordingGenerator(rng(self))) or generators[-1]
+    monkeypatch.setattr(Seed, "rng", recording)
+    for n in (17, 65536):
+        t = run_qds(QdsConfig(n=n, alpha_sq=9.0), Seed(180).child(n))
+        assert t.accepted_by_both
+    assert len(generators) == 2
+    for generator in generators:
+        assert generator.names[0] == "bytes" and "choice" not in generator.names
+
+
+@pytest.mark.parametrize("n", [1, 17, 65536])
+@pytest.mark.parametrize("q_max", [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0])
+def test_sparse_events_draw_sorted_distinct_modes_at_any_rate(q_max, n):
+    # Near 1e-300 numpy's geometric gaps are 2**63 - 1; summed unclipped they wrap.
+    rng = Seed(181).child(n).rng()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = [_sparse_events(q_max, n, rng) for _ in range(20)]
+    for modes, u in draws:
+        assert modes.shape == u.shape
+        assert np.all(np.diff(modes) > 0) and np.all((0 <= modes) & (modes < n))
+        assert np.all((0.0 <= u) & (u <= q_max))
+    counts = [modes.size for modes, _ in draws]
+    if q_max == 1.0:
+        assert counts == [n] * 20
+    elif q_max == 0.5:
+        assert abs(sum(counts) - 10 * n) <= 5.0 * math.sqrt(5 * n)
+    else:
+        assert counts == [0] * 20
 
 
 def test_config_bounds_the_power_per_mode():
