@@ -69,10 +69,8 @@ from .hidden_matching import (
 )
 from .qds import (
     EqualityTestReport,
-    PrivateKeys,
     QdsConfig,
     QdsTranscript,
-    UsdOutcome,
     UsdRecord,
     VerificationRole,
     VerificationVerdict,
@@ -106,8 +104,8 @@ __all__ = [
     "lecam_bound_check", "poisson_binomial_exact", "two_block_trial_generator",
     "Matching", "TrialStats", "bob_unitary", "output_port_labels",
     "random_matching", "run_experiment",
-    "EqualityTestReport", "PrivateKeys", "QdsConfig", "QdsTranscript",
-    "UsdOutcome", "UsdRecord", "VerificationRole", "VerificationVerdict",
+    "EqualityTestReport", "QdsConfig", "QdsTranscript",
+    "UsdRecord", "VerificationRole", "VerificationVerdict",
     "equality_test", "keygen", "run_qds", "split",
     "usd_measure", "verify_message",
 ]

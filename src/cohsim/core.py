@@ -5,7 +5,8 @@ every operation is a pure function of its inputs.  Randomness is always routed
 through an explicit :class:`Seed`: runners name their streams with
 :meth:`Seed.child` (one per experiment, or per independent part of one) and
 hand each stream's ``np.random.Generator`` to the functions that draw, in a
-fixed order, so a fixed seed reproduces bit-identical results.
+fixed order, so a fixed seed reproduces bit-identical results.  A stream's
+generator is seeded by NumPy's own ``SeedSequence(master_seed, spawn_key)``.
 """
 
 from __future__ import annotations
@@ -54,26 +55,19 @@ class Seed:
     def __post_init__(self) -> None:
         if (master := _index(self.master_seed, "master_seed")) >= 2**64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-        # _entropy is what SeedSequence(master, spawn_key=_spawn_key(path)) assembles:
-        # the master's 32-bit words, zero-padded to NumPy's pool size of 4 when the
-        # path is non-empty, then the path's words.
-        words = tuple(master >> s & 0xFFFFFFFF for s in range(0, max(master.bit_length(), 1), 32))
-        keys = self.path
-        self.__dict__.update(master_seed=master, path=(), _entropy=words)
-        self.__dict__.update(vars(self.child(*keys)))
+        path = tuple(k if isinstance(k, str) else _index(k, "seed key") for k in self.path)
+        object.__setattr__(self, "master_seed", master)
+        object.__setattr__(self, "path", path)
 
     def child(self, *keys: str | int) -> "Seed":
-        """The stream named by this path extended with ``keys``; only ``keys`` are validated."""
-        keys = tuple(k if isinstance(k, str) else _index(k, "seed key") for k in keys)
-        pad = (0,) * (4 - len(self._entropy)) if keys and not self.path else ()
-        seed = object.__new__(Seed)
-        entropy = self._entropy + pad + _spawn_key(keys)
-        seed.__dict__.update(master_seed=self.master_seed, path=self.path + keys, _entropy=entropy)
-        return seed
+        """The stream named by this path extended with ``keys``."""
+        return Seed(self.master_seed, self.path + keys)
 
     def rng(self) -> np.random.Generator:
         """Fresh generator determined entirely by (master_seed, path)."""
-        return np.random.default_rng(np.random.SeedSequence(np.array(self._entropy, np.uint32)))
+        return np.random.default_rng(
+            np.random.SeedSequence(self.master_seed, spawn_key=_spawn_key(self.path))
+        )
 
 
 def _spawn_key(path: tuple[str | int, ...]) -> tuple[int, ...]:

@@ -3,9 +3,9 @@
 One signer (Alice) and two recipients (Bob, Charlie).  The protocol runs in
 six steps:
 
-1. Alice draws two uniform n-bit private keys k_0, k_1 from random bytes and
-   sends each recipient the phase-encoded state of each key (mode i carries
-   (-1)^{k_{b,i}} * alpha / sqrt(n)).
+1. Alice draws two uniform n-bit private keys k_0, k_1 from random bytes, the
+   rows of one (2, n) array, and sends each recipient the phase-encoded state
+   of each key (mode i carries (-1)^{k_{b,i}} * alpha / sqrt(n)).
 2. Each recipient splits every received state on a balanced beam splitter,
    yielding two copies with amplitude reduced by sqrt(2).
 3. Each recipient measures the first copy mode by mode with unambiguous
@@ -25,9 +25,11 @@ reference), so honest runs abort never and verify with zero mismatches.
 Tampering is modeled explicitly: ``flip_revealed`` corrupts a fraction of
 the revealed key bits, ``repudiation`` makes Alice send Charlie states that
 differ from Bob's in a fraction of the modes.  A ``QdsConfig`` computes the
-optics once per amplitude level for all its runs; ``split``, ``usd_measure``
+optics once per amplitude level for all its runs, as threshold laws: rows of
+cumulative event probabilities, one column per level, against which each
+detection stage decodes one uniform per drawn mode.  ``split``, ``usd_measure``
 and ``equality_test`` take arbitrary states.  One generator per run, thinned
-draws, key bits read only where drawn: past keygen a run costs its clicks, not n.
+draws, key bits read only where drawn: past keygen an honest run costs its clicks, not n.
 """
 
 from __future__ import annotations
@@ -35,45 +37,31 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from enum import Enum, IntEnum
+from enum import Enum
 from functools import cached_property
 from typing import Any
 
 import numpy as np
 
 from .core import Seed, _index
+# phase_encoded_state is unused here; perfbench/spans.py PATCHES resolves it as cohsim.qds's.
 from .mapping import ModeCoherentState, beam_splitter, parse_bits, phase_encoded_state
 
 TAMPER_MODELS = ("none", "flip_revealed", "repudiation")
 
 
-@dataclass(frozen=True, eq=False)
-class PrivateKeys:
-    """Alice's two private keys, one per signable bit value."""
+def keygen(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Alice's private keys as a read-only (2, n) uint8 array; row b signs bit value b.
 
-    k0: np.ndarray
-    k1: np.ndarray
-
-    def __post_init__(self) -> None:
-        k0 = parse_bits(self.k0)
-        k1 = parse_bits(self.k1)
-        if k0.size != k1.size:
-            raise ValueError("private keys must have equal length")
-        k0.setflags(write=False)
-        k1.setflags(write=False)
-        object.__setattr__(self, "k0", k0)
-        object.__setattr__(self, "k1", k1)
-
-    def key(self, b: int) -> np.ndarray:
-        return self.k0 if b == 0 else self.k1
-
-
-def keygen(n: int, rng: np.random.Generator) -> PrivateKeys:
-    """Two independent uniform n-bit strings, unpacked from one draw of 2 ceil(n / 8) bytes."""
-    if n < 1:
-        raise ValueError("key length must be at least 1")
+    The rows are independent uniform n-bit strings, unpacked from one draw of
+    2 ceil(n / 8) bytes.
+    """
+    if _index(n, "n") < 1:
+        raise ValueError("n must be at least 1")
     raw = np.frombuffer(rng.bytes(2 * -(-n // 8)), np.uint8).reshape(2, -1)
-    return PrivateKeys(*np.unpackbits(raw, axis=1, count=n))
+    keys = np.unpackbits(raw, axis=1, count=n)
+    keys.setflags(write=False)
+    return keys
 
 
 def split(c: ModeCoherentState) -> tuple[ModeCoherentState, ModeCoherentState]:
@@ -84,14 +72,6 @@ def split(c: ModeCoherentState) -> tuple[ModeCoherentState, ModeCoherentState]:
     kept, shared = beam_splitter(c.mode_amplitudes, 0.0)
     alpha, _ = beam_splitter(c.alpha, 0.0)
     return ModeCoherentState(kept, alpha), ModeCoherentState(shared, alpha)
-
-
-class UsdOutcome(IntEnum):
-    """Per-mode USD result; stored as int8 arrays inside records."""
-
-    UNAMBIGUOUS_MINUS = -1
-    INCONCLUSIVE = 0
-    UNAMBIGUOUS_PLUS = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +136,16 @@ def _usd_probabilities(amps: np.ndarray, beta: float) -> tuple[np.ndarray, np.nd
     return prob(mod_plus, mod_minus), prob(mod_minus, mod_plus)
 
 
+def _usd_law(amps: np.ndarray, beta: float) -> np.ndarray:
+    """USD thresholds (P(+), P(+) + P(-)) per amplitude, one column each."""
+    return np.cumsum(_usd_probabilities(amps, beta), axis=0)
+
+
+def _usd_signs(law: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Signs of uniforms u at USD law columns: +1 below P(+), -1 below P(+) + P(-), else 0."""
+    return 2 * (u < law[0]).view(np.int8) - (u < law[1]).view(np.int8)
+
+
 def usd_measure(
     c: ModeCoherentState, reference_magnitude: float, rng: np.random.Generator
 ) -> UsdRecord:
@@ -173,8 +163,11 @@ def usd_measure(
             f"reference magnitude must be finite and non-negative, and plus the largest"
             f" mode modulus below 1e154, got {reference_magnitude!r}"
         )
-    table = np.array(_usd_probabilities(c.mode_amplitudes, beta))
-    return _usd_draw(table, np.arange(c.dim), rng)
+    law = _usd_law(c.mode_amplitudes, beta)
+    modes, u = _sparse_events(law[-1].max(), c.dim, rng)
+    outcomes = np.zeros(c.dim, dtype=np.int8)
+    outcomes[modes] = _usd_signs(law.take(modes, axis=1), u)
+    return UsdRecord(outcomes)
 
 
 def _sparse_events(q_max: float, n: int, rng: np.random.Generator):
@@ -195,24 +188,6 @@ def _sparse_events(q_max: float, n: int, rng: np.random.Generator):
         modes = np.concatenate((modes, modes[-1] + ends()))
     modes = modes[: modes.searchsorted(n)]
     return modes, rng.random(modes.size) * q_max
-
-
-def _usd_events(table: np.ndarray, q_max: float, n: int, column, rng: np.random.Generator):
-    """(modes, signs) of the thinned draw over n modes, at table columns column(modes).
-
-    q_max is the largest P(+) + P(-) of the table; u < P(+) is +1, u < P(+) + P(-) is -1, else 0.
-    """
-    modes, u = _sparse_events(q_max, n, rng)
-    p_plus, p_minus = table.take(column(modes), axis=1)
-    return modes, 2 * (u < p_plus).view(np.int8) - (u < p_plus + p_minus).view(np.int8)
-
-
-def _usd_draw(table: np.ndarray, levels: np.ndarray, rng: np.random.Generator) -> UsdRecord:
-    """The per-mode record of :func:`_usd_events`, mode i reading table column levels[i]."""
-    modes, signs = _usd_events(table, table.sum(axis=0).max(), levels.size, levels.__getitem__, rng)
-    outcomes = np.zeros(levels.size, dtype=np.int8)
-    outcomes[modes] = signs
-    return UsdRecord(outcomes)
 
 
 @dataclass(frozen=True)
@@ -239,8 +214,9 @@ def equality_test(
         raise ValueError("states must have the same number of modes")
     if not 0.0 < float(f) < 1.0:
         raise ValueError("abort fraction f must lie in (0, 1)")
-    table = np.array(_click_probabilities(b.mode_amplitudes, c.mode_amplitudes))
-    return _equality_draw(table, _click_rate(table), b.dim, lambda modes: modes, f, rng)
+    law = _equality_law(b.mode_amplitudes, c.mode_amplitudes)
+    modes, u = _sparse_events(law[-1].max(), b.dim, rng)
+    return _equality_report(law.take(modes, axis=1), u, f)
 
 
 def _click_probabilities(u, w) -> tuple[np.ndarray, np.ndarray]:
@@ -248,23 +224,22 @@ def _click_probabilities(u, w) -> tuple[np.ndarray, np.ndarray]:
     return tuple(-np.expm1(-np.abs(port) ** 2) for port in beam_splitter(u, w))
 
 
-def _click_rate(table) -> float:
-    """Largest probability, over a (p_eq, p_neq) table's columns, that either port clicks."""
-    return (table[0] * (1.0 - table[1]) + table[1]).max()
+def _equality_law(u, w) -> np.ndarray:
+    """EQ/NEQ thresholds (a, p_eq, a + p_neq), a = p_eq (1 - p_neq), one column per mode pair.
 
-
-def _equality_draw(table, q_max: float, n: int, column, f: float, rng) -> EqualityTestReport:
-    """Tally EQ and NEQ clicks over n modes from the (p_eq, p_neq) rows of table; abort above f.
-
-    q_max is the table's :func:`_click_rate`; drawn modes read table columns
-    column(modes).  The ports click independently, and one uniform u per mode
-    carries both: EQ below p_eq, NEQ on [a, a + p_neq) with a = p_eq (1 - p_neq).
+    The ports click independently, and one uniform per pair carries both:
+    EQ below p_eq, NEQ on [a, a + p_neq).  a + p_neq is the chance that either clicks.
     """
-    modes, u = _sparse_events(q_max, n, rng)
-    p_eq, p_neq = table.take(column(modes), axis=1)
+    p_eq, p_neq = _click_probabilities(u, w)
     eq_only = p_eq * (1.0 - p_neq)
+    return np.array([eq_only, p_eq, eq_only + p_neq])
+
+
+def _equality_report(law: np.ndarray, u: np.ndarray, f: float) -> EqualityTestReport:
+    """Tally the EQ and NEQ clicks of uniforms u at equality law columns; abort above f."""
+    eq_only, p_eq, either = law
     eq_clicks = int(np.count_nonzero(u < p_eq))
-    neq_clicks = int(np.count_nonzero((u >= eq_only) & (u < eq_only + p_neq)))
+    neq_clicks = int(np.count_nonzero((u >= eq_only) & (u < either)))
     total = eq_clicks + neq_clicks
     fraction = neq_clicks / total if total > 0 else 0.0
     return EqualityTestReport(
@@ -292,6 +267,16 @@ class VerificationVerdict:
     threshold: float
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite_real(value, name: str) -> float:
+    if not _is_real(value) or not math.isfinite(value):
+        raise TypeError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def verify_message(
     revealed_key, record: UsdRecord, threshold: float, role: VerificationRole
 ) -> VerificationVerdict:
@@ -301,6 +286,7 @@ def verify_message(
     over conclusive positions only; an all-inconclusive record yields
     fraction 0 (and tested = 0 in the verdict flags the degeneracy).
     """
+    threshold = _finite_real(threshold, "threshold")
     key = parse_bits(revealed_key)
     if key.size != record.dim:
         raise ValueError("revealed key length does not match the record")
@@ -323,10 +309,6 @@ def _verdict(key_bits, signs, threshold: float, role: VerificationRole) -> Verif
     )
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class QdsConfig:
     """Run parameters; thresholds must be ordered 0 <= s_a < s_v < 1."""
@@ -344,9 +326,7 @@ class QdsConfig:
         for name in ("n", "message_bit"):
             _index(getattr(self, name), name)
         for name in ("alpha_sq", "f", "s_a", "s_v"):
-            value = getattr(self, name)
-            if not _is_real(value) or not math.isfinite(value):
-                raise TypeError(f"{name} must be a finite real number, got {value!r}")
+            _finite_real(getattr(self, name), name)
         if not isinstance(self.tamper_params, dict):
             raise TypeError(f"tamper_params must be an object, got {self.tamper_params!r}")
         if self.n < 1:
@@ -380,17 +360,18 @@ class QdsConfig:
 
     @cached_property
     def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The laws per amplitude level and their thinning rates, once per config and read-only.
+        """Threshold laws per amplitude level and their thinning rates, once per config, read-only.
 
         USD column k is the kept copy of key bit k's amplitude; EQ/NEQ column
-        2 * Bob's bit + Charlie's bit compares the two shared copies.  The third array
-        holds each table's largest event probability, the q_max its stages thin at.
+        2 * Bob's bit + Charlie's bit compares the two shared copies.  A law's
+        last row is each level's event probability, so the third array, each
+        law's largest, is the q_max its stages thin at.
         """
         amps = np.array([1.0, -1.0]) * (complex(math.sqrt(self.alpha_sq)) / math.sqrt(self.n))
         kept, shared = beam_splitter(amps, 0.0)
-        usd = np.array(_usd_probabilities(kept, math.sqrt(self.alpha_sq / (2.0 * self.n))))
-        eq = np.array(_click_probabilities(shared[:, None], shared[None, :])).reshape(2, 4)
-        rates = np.array([usd.sum(axis=0).max(), _click_rate(eq)])
+        usd = _usd_law(kept, math.sqrt(self.alpha_sq / (2.0 * self.n)))
+        eq = _equality_law(shared[:, None], shared[None, :]).reshape(3, 4)
+        rates = np.array([usd[-1].max(), eq[-1].max()])
         for table in (usd, eq, rates):
             table.setflags(write=False)
         return usd, eq, rates
@@ -435,44 +416,40 @@ def _flip_mask(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
 def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
     """Execute distribution, symmetrization, and messaging for one run.
 
-    The optics and measurement laws come from ``config.tables`` and are looked
-    up by key bit at the modes each stage drew.  All stages draw, in protocol
+    The optics and measurement laws come from ``config.tables`` and are read
+    by key bit at the modes each stage drew.  All stages draw, in protocol
     order, from the one generator ``seed.rng()``: keygen, the repudiation masks,
     the four USD stages, the two equality tests, then the flip_revealed mask.
     """
     n = config.n
-    records: list[StageRecord] = []
     rng = seed.rng()
-
     keys = keygen(n, rng)
-    records.append(StageRecord("keygen", {"n": n}))
-
-    no_flips = np.zeros(n, dtype=np.uint8)
-    # A flip mask under the config's model, none under the others.
-    flips = lambda model: (_flip_mask(n, config.tamper_params["fraction"], rng)
-                           if config.tamper_model == model else no_flips)
-    masks = [flips("repudiation") for _ in (0, 1)]
-    # Per key bit b, Bob's and Charlie's bits (Bob's key ^ masks[b]) at the drawn modes.
-    bits = [(key.__getitem__, lambda m, key=key, mask=mask: key[m] ^ mask[m])
-            for key, mask in zip((keys.k0, keys.k1), masks)]
+    records = [StageRecord("keygen", {"n": n})]
+    fraction = config.tamper_params.get("fraction")
+    charlie_keys = keys
+    if config.tamper_model == "repudiation":
+        charlie_keys = keys ^ np.array([_flip_mask(n, fraction, rng) for _ in (0, 1)])
 
     beta = math.sqrt(config.alpha_sq / (2.0 * n))
     distribution = {"alpha_sq": config.alpha_sq, "usd_reference_magnitude": beta}
     records.append(StageRecord("distribution", distribution))
-    usd_table, eq_table, rates = config.tables
+    usd_law, eq_law, rates = config.tables
     usd_rate, eq_rate = rates.tolist()
     usd_events: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-    for b, columns in enumerate(bits):
-        for who, column in zip(("bob", "charlie"), columns):
-            usd_events[(who, b)] = _, signs = _usd_events(usd_table, usd_rate, n, column, rng)
+    for b in (0, 1):
+        for who, key in (("bob", keys[b]), ("charlie", charlie_keys[b])):
+            modes, u = _sparse_events(usd_rate, n, rng)
+            signs = _usd_signs(usd_law.take(key[modes], axis=1), u)
+            usd_events[who, b] = modes, signs
             plus, minus = (signs.tolist().count(sign) for sign in (1, -1))
             counts = {"tested": plus + minus, "plus": plus, "minus": minus}
             records.append(StageRecord("usd", {"recipient": who, "key_bit": b, **counts}))
 
     aborted = False
-    for b, (bob, charlie) in enumerate(bits):
-        pair = lambda m: 2 * bob(m) + charlie(m)  # eq_table column
-        report = _equality_draw(eq_table, eq_rate, n, pair, config.f, rng)
+    for b in (0, 1):
+        modes, u = _sparse_events(eq_rate, n, rng)
+        pairs = 2 * keys[b][modes] + charlie_keys[b][modes]
+        report = _equality_report(eq_law.take(pairs, axis=1), u, config.f)
         aborted = aborted or report.aborted
         records.append(StageRecord("equality_test", {"key_bit": b, **vars(report)}))
 
@@ -481,17 +458,18 @@ def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
         return QdsTranscript(tuple(records), True, None, None)
 
     b = config.message_bit
-    flipped = flips("flip_revealed")
-    flipped_bits = 0 if flipped is no_flips else int(np.count_nonzero(flipped))
+    revealed, flipped_bits = keys[b], 0
+    if config.tamper_model == "flip_revealed":
+        flips = _flip_mask(n, fraction, rng)
+        revealed, flipped_bits = revealed ^ flips, int(np.count_nonzero(flips))
     records.append(StageRecord("reveal", {"message_bit": b, "flipped_bits": flipped_bits}))
 
     verdicts = []
     roles = (("bob", config.s_a, VerificationRole.AUTHENTICATION),
              ("charlie", config.s_v, VerificationRole.VERIFICATION))
     for who, threshold, role in roles:
-        modes, signs = usd_events[(who, b)]
-        revealed = keys.key(b)[modes] ^ flipped[modes]
-        verdicts.append(verdict := _verdict(revealed, signs, threshold, role))
+        modes, signs = usd_events[who, b]
+        verdicts.append(verdict := _verdict(revealed[modes], signs, threshold, role))
         tally = ("mismatches", "tested", "fraction", "threshold", "accept")
         data = {"recipient": who, **{key: getattr(verdict, key) for key in tally}}
         records.append(StageRecord(role.value, data))

@@ -454,6 +454,10 @@ def test_mc_makes_one_generator_per_estimate_at_any_block_size(monkeypatch):
 def test_mc_rejects_bad_arguments():
     with pytest.raises(ValueError):
         estimate_success_probability(constant_counts(1, 0), 0, Seed(89))
+    # True ran one trial, and 2.5 and "10" raised TypeErrors that did not name trials.
+    for trials in (True, 2.5, "10"):
+        with pytest.raises(TypeError, match="trials"):
+            estimate_success_probability(constant_counts(1, 0), trials, Seed(89))
 
 
 @pytest.mark.parametrize(

@@ -172,8 +172,8 @@ def test_seed_without_a_path_is_numpy_default_rng_of_the_master_seed():
     np.testing.assert_array_equal(Seed(33).rng().random(8), np.random.default_rng(33).random(8))
 
 
-# Seed.rng assembles SeedSequence's entropy itself; these pin it to NumPy's own
-# assembly, so a NumPy release that changed SeedSequence would fail here.
+# Seed.rng is NumPy's SeedSequence of the master seed and the path's spawn key;
+# these pin that, so a NumPy release that changed SeedSequence would fail here.
 @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
 @pytest.mark.parametrize("path", [(), ("keygen",), ("usd", 1, "charlie"), (2**40,), ("nœud→σ",)])
 def test_seed_streams_are_numpy_seed_sequence_streams(master, path):

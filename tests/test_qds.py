@@ -11,7 +11,6 @@ from cohsim import (
     ModeCoherentState,
     QdsConfig,
     Seed,
-    UsdOutcome,
     UsdRecord,
     VerificationRole,
     equality_test,
@@ -26,40 +25,61 @@ from cohsim import (
 from cohsim.qds import (
     StageRecord,
     _click_probabilities,
-    _click_rate,
-    _equality_draw,
+    _equality_law,
+    _equality_report,
     _flip_mask,
     _sparse_events,
-    _usd_draw,
+    _usd_law,
     _usd_probabilities,
+    _usd_signs,
 )
 
 
 def test_keygen_is_deterministic():
     a = keygen(64, Seed(120).rng())
     b = keygen(64, Seed(120).rng())
-    np.testing.assert_array_equal(a.k0, b.k0)
-    np.testing.assert_array_equal(a.k1, b.k1)
+    np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("n", [1, 7, 9, 13])
 def test_keygen_returns_exactly_n_bits_at_any_length(n):
     keys = keygen(n, Seed(124).rng())
-    for k in (keys.k0, keys.k1):
+    for k in keys:
         assert k.shape == (n,) and k.dtype == np.uint8
         assert set(k.tolist()) <= {0, 1}
 
 
+def test_keygen_returns_a_read_only_row_per_bit_value():
+    keys = keygen(13, Seed(124).rng())
+    assert keys.shape == (2, 13) and keys.dtype == np.uint8
+    assert not keys.flags.writeable and not keys[1].flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        keys[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        keys[1] ^= 1
+
+
+@pytest.mark.parametrize(
+    "n, error",
+    [(True, TypeError), (2.5, TypeError), ("8", TypeError), (None, TypeError),
+     (np.float64(8.0), TypeError), (0, ValueError), (-1, ValueError)],
+)
+def test_keygen_refuses_a_length_that_is_not_a_positive_integer(n, error):
+    # True failed inside numpy and 2.5 raised a TypeError that did not name n.
+    with pytest.raises(error, match="n must be"):
+        keygen(n, Seed(125).rng())
+
+
 def test_keygen_bits_are_balanced():
     keys = keygen(10_000, Seed(121).rng())
-    for k in (keys.k0, keys.k1):
+    for k in keys:
         freq = k.mean()
         assert abs(freq - 0.5) < 3 * math.sqrt(0.25 / 10_000)
 
 
 def test_independent_keys_disagree_on_half_the_bits():
-    a = keygen(10_000, Seed(122).rng()).k0
-    b = keygen(10_000, Seed(123).rng()).k0
+    a = keygen(10_000, Seed(122).rng())[0]
+    b = keygen(10_000, Seed(123).rng())[0]
     distance = np.count_nonzero(a ^ b)
     assert abs(distance - 5_000) < 3 * math.sqrt(10_000 * 0.25)
 
@@ -194,9 +214,7 @@ def test_usd_record_validation():
     rec = UsdRecord(np.array([1, -1, 0], dtype=np.int8))
     assert rec.tested == 2
     assert rec.unambiguous_fraction == pytest.approx(2 / 3)
-    assert rec.outcomes[0] == UsdOutcome.UNAMBIGUOUS_PLUS
-    assert rec.outcomes[1] == UsdOutcome.UNAMBIGUOUS_MINUS
-    assert rec.outcomes[2] == UsdOutcome.INCONCLUSIVE
+    assert rec.outcomes.dtype == np.int8 and rec.outcomes.tolist() == [1, -1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +311,14 @@ def test_verify_empty_record_is_degenerate_accept():
     assert verdict.tested == 0
     assert verdict.fraction == 0.0
     assert verdict.accept
+
+
+@pytest.mark.parametrize("threshold", ["0.5", None, True, math.nan, math.inf, -math.inf])
+def test_verify_refuses_a_non_real_or_non_finite_threshold(threshold):
+    # A nan threshold rejected every record, and "0.5" went through float().
+    rec = UsdRecord(np.array([1, -1], dtype=np.int8))
+    with pytest.raises(TypeError, match="threshold"):
+        verify_message("01", rec, threshold, VerificationRole.AUTHENTICATION)
 
 
 def test_verify_threshold_ordering_property():
@@ -510,7 +536,7 @@ def _reference_run(config, seed):
     ]
     usd, shared = {}, {}
     for b in (0, 1):
-        for who, bits in (("bob", keys.key(b)), ("charlie", keys.key(b) ^ masks[b])):
+        for who, bits in (("bob", keys[b]), ("charlie", keys[b] ^ masks[b])):
             kept, shared[who, b] = split(phase_encoded_state(bits, alpha))
             rec = usd[who, b] = usd_measure(kept, beta, rng)
             counts = {"tested": rec.tested, "plus": int(np.sum(rec.outcomes == 1)),
@@ -526,7 +552,7 @@ def _reference_run(config, seed):
         }))
     if aborted:
         return records + [StageRecord("messaging", {"skipped": True, "reason": "aborted"})]
-    revealed = keys.key(b_msg)
+    revealed = keys[b_msg]
     flipped = np.zeros(n, dtype=np.uint8)
     if config.tamper_model == "flip_revealed":
         flipped = _flip_mask(n, fraction, rng)
@@ -598,11 +624,65 @@ def test_vanishing_reference_magnitude_is_inconclusive_without_warnings():
 # ---------------------------------------------------------------------------
 
 
-def _dense_usd(table, levels, rng):
-    """The reference law: one uniform per mode, +1 below P(+), -1 up to P(+) + P(-)."""
-    p_plus, p_minus = table[:, levels]
-    u = rng.random(levels.size)
+def _dense_usd_signs(p_plus, p_minus, u):
+    """The reference decoding: +1 below P(+), -1 below P(+) + P(-), else 0."""
     return np.where(u < p_plus, 1, np.where(u < p_plus + p_minus, -1, 0))
+
+
+def _dense_usd(table, levels, rng):
+    """The reference law: one uniform per mode, decoded at the (P(+), P(-)) table columns."""
+    p_plus, p_minus = table[:, levels]
+    return _dense_usd_signs(p_plus, p_minus, rng.random(levels.size))
+
+
+def _sparse_usd(law, levels, rng):
+    """Per-mode signs of one thinned USD draw, mode i reading law column levels[i]."""
+    modes, u = _sparse_events(law[-1].max(), levels.size, rng)
+    outcomes = np.zeros(levels.size, dtype=np.int8)
+    outcomes[modes] = _usd_signs(law[:, levels[modes]], u)
+    return outcomes
+
+
+def _sparse_equality(law, n, rng, f):
+    """Report of one thinned equality draw over n modes that all read law column 0."""
+    modes, u = _sparse_events(law[-1].max(), n, rng)
+    return _equality_report(law[:, np.zeros(modes.size, dtype=np.intp)], u, f)
+
+
+def _uniforms_at(thresholds, rng, columns):
+    """Per column: each threshold, the doubles either side of it, and 20 uniforms on [0, 1)."""
+    rows = [np.nextafter(t, side) for t in thresholds for side in (-np.inf, np.inf)]
+    return np.array(list(thresholds) + rows + list(rng.random((20, columns))))
+
+
+def test_usd_signs_match_the_dense_reference_at_every_threshold():
+    beta = 0.5
+    amps = np.array([beta, -beta, 0.0, 3 * beta, 0.2 - 0.4j, -1.1 + 0.3j, 1e-3])
+    p_plus, p_minus = _usd_probabilities(amps, beta)
+    u = _uniforms_at((p_plus, p_plus + p_minus), Seed(182).rng(), amps.size)
+    columns = np.broadcast_to(np.arange(amps.size), u.shape)
+    signs = _usd_signs(_usd_law(amps, beta)[:, columns.ravel()], u.ravel())
+    dense = _dense_usd_signs(p_plus, p_minus, u)
+    assert signs.dtype == np.int8 and set(dense.ravel().tolist()) == {-1, 0, 1}
+    np.testing.assert_array_equal(signs.reshape(u.shape), dense)
+
+
+def test_equality_report_matches_the_dense_reference_at_every_threshold():
+    u_amps = np.array([0.5, 0.5, 0.5, 0.0, 1.2j, 2.0, 0.3 - 0.1j])
+    w_amps = np.array([0.5, -0.5, 0.0, 0.0, -0.7, 1.5, 0.9j])
+    p_eq, p_neq = _click_probabilities(u_amps, w_amps)
+    eq_only = p_eq * (1.0 - p_neq)
+    law = _equality_law(u_amps, w_amps)
+    u = _uniforms_at((eq_only, p_eq, eq_only + p_neq), Seed(183).rng(), u_amps.size)
+    clicks = collections.Counter()
+    for row in u:
+        for column, value in enumerate(row):
+            eq = bool(value < p_eq[column])
+            neq = bool(eq_only[column] <= value < eq_only[column] + p_neq[column])
+            report = _equality_report(law[:, [column]], np.array([value]), 0.5)
+            assert (report.total_clicks - report.neq_clicks, report.neq_clicks) == (eq, neq)
+            clicks[eq, neq] += 1
+    assert len(clicks) == 4  # no click, EQ only, NEQ only, both
 
 
 @pytest.mark.parametrize(
@@ -621,7 +701,8 @@ def test_sparse_usd_draw_has_the_per_mode_law(table):
     runs, per_level = 40, 500
     levels = np.tile(np.arange(table.shape[1]), per_level).astype(np.uint8)
     rng, dense_rng = Seed(170).rng(), Seed(171).rng()
-    sparse = np.array([_usd_draw(table, levels, rng).outcomes for _ in range(runs)])
+    law = np.cumsum(table, axis=0)
+    sparse = np.array([_sparse_usd(law, levels, rng) for _ in range(runs)])
     dense = np.array([_dense_usd(table, levels, dense_rng) for _ in range(runs)])
     samples = runs * per_level
     for level, (p_plus, p_minus) in enumerate(table.T):
@@ -639,10 +720,10 @@ def test_sparse_usd_draw_has_the_per_mode_law(table):
 )
 def test_sparse_equality_counts_are_binomial(p_eq, p_neq):
     n, runs = 400, 300
-    table = np.array([[p_eq], [p_neq]])
+    eq_only = p_eq * (1.0 - p_neq)
+    law = np.array([[eq_only], [p_eq], [eq_only + p_neq]])
     rng = Seed(172).rng()
-    column = np.zeros(n, dtype=np.uint8).__getitem__
-    reports = [_equality_draw(table, _click_rate(table), n, column, 0.5, rng) for _ in range(runs)]
+    reports = [_sparse_equality(law, n, rng, 0.5) for _ in range(runs)]
     neq = np.array([r.neq_clicks for r in reports])
     eq = np.array([r.total_clicks for r in reports]) - neq
     for counts, p in ((eq, p_eq), (neq, p_neq)):
@@ -690,20 +771,20 @@ class _RecordingGenerator:
 
 def test_detection_draws_scale_with_clicks_not_modes():
     n, alpha_sq = 65536, 9.0
-    key = keygen(n, Seed(174).rng()).k0
+    key = keygen(n, Seed(174).rng())[0]
     kept, shared = split(phase_encoded_state(key, math.sqrt(alpha_sq)))
     beta = math.sqrt(alpha_sq / (2.0 * n))
-    modes = np.arange(n)
     usd_rng = _RecordingGenerator(Seed(175).rng())
-    usd_table = np.array(_usd_probabilities(kept.mode_amplitudes, beta))
-    rec = _usd_draw(usd_table, modes, usd_rng)
+    usd_law = _usd_law(kept.mode_amplitudes, beta)
+    signs = _sparse_usd(usd_law, np.arange(n), usd_rng)
     eq_rng = _RecordingGenerator(Seed(176).rng())
-    eq_table = np.array(_click_probabilities(shared.mode_amplitudes, shared.mode_amplitudes))
-    report = _equality_draw(eq_table, _click_rate(eq_table), n, modes.__getitem__, 0.01, eq_rng)
+    eq_law = _equality_law(shared.mode_amplitudes, shared.mode_amplitudes)
+    modes, u = _sparse_events(eq_law[-1].max(), n, eq_rng)
+    report = _equality_report(eq_law[:, modes], u, 0.01)
     # About 9 clicks a stage are expected; each costs two draws.
     assert usd_rng.sizes and eq_rng.sizes
     assert sum(usd_rng.sizes) + sum(eq_rng.sizes) < n / 200
-    assert 0 < rec.tested and 0 < report.total_clicks and report.neq_clicks == 0
+    assert 0 < np.count_nonzero(signs) and 0 < report.total_clicks and report.neq_clicks == 0
 
 
 def test_honest_run_draws_from_one_generator_without_choice(monkeypatch):
