@@ -71,8 +71,6 @@ from .qds import (
     EqualityTestReport,
     QdsConfig,
     QdsTranscript,
-    UsdRecord,
-    VerificationRole,
     VerificationVerdict,
     equality_test,
     keygen,
@@ -105,7 +103,6 @@ __all__ = [
     "Matching", "TrialStats", "bob_unitary", "output_port_labels",
     "random_matching", "run_experiment",
     "EqualityTestReport", "QdsConfig", "QdsTranscript",
-    "UsdRecord", "VerificationRole", "VerificationVerdict",
-    "equality_test", "keygen", "run_qds", "split",
+    "VerificationVerdict", "equality_test", "keygen", "run_qds", "split",
     "usd_measure", "verify_message",
 ]

@@ -76,12 +76,6 @@ def _check_non_negative(value: float, flag: str) -> float:
     return value
 
 
-def _check_positive(value: int, flag: str) -> int:
-    if value < 1:
-        raise ValueError(f"{flag} must be at least 1, got {value}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -136,7 +130,7 @@ def _cmd_hidden_matching(args):
         matching=matching,
         x=x,
         alpha=math.sqrt(_check_non_negative(args.alpha_sq, "--alpha-sq")),
-        trials=_check_positive(args.trials, "--trials"),
+        trials=_index(args.trials, "--trials", 1),
         seed=Seed(args.seed),
     )
     row = [
@@ -182,8 +176,8 @@ def _uniform_block_probs(p_s: float, d0: int, d1: int) -> np.ndarray:
 
 
 def _cmd_thm_check(args):
-    _check_positive(args.lecam_instances, "--lecam-instances")
-    _check_positive(args.trials, "--trials")
+    _index(args.lecam_instances, "--lecam-instances", 1)
+    _index(args.trials, "--trials", 1)
     seed = Seed(args.seed)
     rows = []
 
@@ -252,7 +246,7 @@ def _cmd_qds(args):
     if seed_value is None:
         raise ValueError(f"config {args.config}: field 'seed' is required")
     try:
-        trials = _check_positive(_index(trials, "trials"), "trials")
+        trials = _index(trials, "trials", 1)
         seed = Seed(seed_value)
         config = qds.QdsConfig.from_dict(raw)
     except (TypeError, ValueError) as exc:

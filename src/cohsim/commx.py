@@ -281,8 +281,7 @@ def estimate_success_probability(
 
     Returns the success frequency and its Wald 95% half-width.
     """
-    if _index(trials, "trials") < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _index(trials, "trials", 1)
     rng = seed.rng()
     tally = np.zeros(3, dtype=np.int64)  # trials with sign(c0 - c1) = -1, 0, +1
     for start in range(0, trials, _BLOCK_TRIALS):

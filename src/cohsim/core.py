@@ -29,14 +29,15 @@ def _check_same_dim(da: int, db: int, what: str) -> None:
         raise DimensionMismatchError(f"incompatible {what}: dimensions {da} and {db}")
 
 
-def _index(value, what: str) -> int:
-    """``value`` as a non-negative Python int; bools and non-integers are refused."""
-    if type(value) is int and value >= 0:  # the common case, without the ABC check
+def _index(value, what: str, low: int = 0) -> int:
+    """``value`` as a Python int of at least ``low``; bools and non-integers are refused."""
+    if type(value) is int and value >= low:  # the common case, without the ABC check
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{what} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{what} must be non-negative, got {value}")
+    if value < low:
+        bound = f"at least {low}" if low else "non-negative"
+        raise ValueError(f"{what} must be {bound}, got {value}")
     return int(value)
 
 
@@ -145,8 +146,7 @@ def normalized(amplitudes) -> PureState:
 
 def basis_state(d: int, k: int) -> PureState:
     """Canonical basis state labelled k, with k in 1..d (mode numbering)."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
+    d = _index(d, "d", 1)
     if not 1 <= k <= d:
         raise ValueError(f"basis label {k} outside 1..{d}")
     amps = np.zeros(d, dtype=np.complex128)
@@ -156,8 +156,7 @@ def basis_state(d: int, k: int) -> PureState:
 
 def uniform_state(d: int) -> PureState:
     """Equal-amplitude superposition over all d basis states."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
+    d = _index(d, "d", 1)
     return PureState(np.full(d, 1.0 / np.sqrt(d), dtype=np.complex128))
 
 
@@ -175,8 +174,7 @@ def apply_unitary(u: UnitaryOp, s: PureState) -> PureState:
 
 def random_state(d: int, rng: np.random.Generator) -> PureState:
     """State drawn uniformly from the complex unit sphere in dimension d."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
+    d = _index(d, "d", 1)
     vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(vec / np.linalg.norm(vec))
 
@@ -187,8 +185,7 @@ def random_unitary(d: int, rng: np.random.Generator) -> UnitaryOp:
     Multiplying Q by the phases of diag(R) makes the decomposition unique and
     the resulting distribution exactly Haar.
     """
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
+    d = _index(d, "d", 1)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)

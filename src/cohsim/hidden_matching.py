@@ -146,9 +146,7 @@ def run_experiment(
     per experiment from the stream ``seed.child("setup")``.  All trials draw,
     one after another, from the one stream ``seed.child("trials")``.
     """
-    trials = _index(trials, "trials")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _index(trials, "trials", 1)
     setup_rng = seed.child("setup").rng()
     if matching is None:
         matching = random_matching(n, setup_rng)
@@ -162,7 +160,7 @@ def run_experiment(
             raise ValueError(f"input string has {bits.size} bits, expected {n}")
 
     state = phase_encoded_state(bits, alpha)
-    out = ModeCoherentState(_ports(matching, state.mode_amplitudes), state.alpha)
+    out = ModeCoherentState(_ports(matching, state.mode_amplitudes))
     # Counting ports from 0, port 2t claims even parity for pair t and port 2t + 1 odd.
     i, j = (np.asarray(matching.pairs) - 1).T
     right = np.arange(n) % 2 == np.repeat(bits[i] ^ bits[j], 2)

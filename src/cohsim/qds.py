@@ -10,7 +10,7 @@ six steps:
    yielding two copies with amplitude reduced by sqrt(2).
 3. Each recipient measures the first copy mode by mode with unambiguous
    state discrimination (USD) between +beta and -beta, beta = |alpha| /
-   sqrt(2n), storing conclusive signs in a classical record.
+   sqrt(2n), storing the signs as a vector over {-1, 0, +1} (0 = inconclusive).
 4. The second copies travel to one lab and interfere pairwise on a balanced
    beam splitter whose ports mean "equal" / "not equal"; if NEQ clicks exceed
    a fraction f of all clicks, the run aborts (a signer who sent the two
@@ -28,8 +28,10 @@ differ from Bob's in a fraction of the modes.  A ``QdsConfig`` computes the
 optics once per amplitude level for all its runs, as threshold laws: rows of
 cumulative event probabilities, one column per level, against which each
 detection stage decodes one uniform per drawn mode.  ``split``, ``usd_measure``
-and ``equality_test`` take arbitrary states.  One generator per run, thinned
-draws, key bits read only where drawn: past keygen an honest run costs its clicks, not n.
+and ``equality_test`` take arbitrary states; ``usd_measure`` returns the signs,
+which ``verify_message(revealed_key, signs, threshold)`` checks.  One generator
+per run, thinned draws, key bits read only where drawn: past keygen an honest
+run costs its clicks, not n.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from functools import cached_property
 from typing import Any
 
@@ -56,8 +57,7 @@ def keygen(n: int, rng: np.random.Generator) -> np.ndarray:
     The rows are independent uniform n-bit strings, unpacked from one draw of
     2 ceil(n / 8) bytes.
     """
-    if _index(n, "n") < 1:
-        raise ValueError("n must be at least 1")
+    n = _index(n, "n", 1)
     raw = np.frombuffer(rng.bytes(2 * -(-n // 8)), np.uint8).reshape(2, -1)
     keys = np.unpackbits(raw, axis=1, count=n)
     keys.setflags(write=False)
@@ -70,35 +70,7 @@ def split(c: ModeCoherentState) -> tuple[ModeCoherentState, ModeCoherentState]:
     Each copy carries half the mean photon number, so energy is conserved.
     """
     kept, shared = beam_splitter(c.mode_amplitudes, 0.0)
-    alpha, _ = beam_splitter(c.alpha, 0.0)
-    return ModeCoherentState(kept, alpha), ModeCoherentState(shared, alpha)
-
-
-@dataclass(frozen=True, eq=False)
-class UsdRecord:
-    """Classical memory of per-mode USD outcomes (+1 / -1 / 0 = inconclusive)."""
-
-    outcomes: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.atleast_1d(np.asarray(self.outcomes, dtype=np.int8))
-        if arr.ndim != 1 or arr.size < 1 or arr.min() < -1 or arr.max() > 1:
-            raise ValueError("outcomes must be a non-empty vector over {-1, 0, 1}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "outcomes", arr)
-
-    @property
-    def dim(self) -> int:
-        return int(self.outcomes.size)
-
-    @property
-    def tested(self) -> int:
-        """Number of conclusive (unambiguous) positions."""
-        return int(np.count_nonzero(self.outcomes))
-
-    @property
-    def unambiguous_fraction(self) -> float:
-        return self.tested / self.dim
+    return ModeCoherentState(kept), ModeCoherentState(shared)
 
 
 def _usd_probabilities(amps: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -148,13 +120,15 @@ def _usd_signs(law: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def usd_measure(
     c: ModeCoherentState, reference_magnitude: float, rng: np.random.Generator
-) -> UsdRecord:
-    """Mode-by-mode USD between +beta and -beta on the kept copy.
+) -> np.ndarray:
+    """Mode-by-mode USD between +beta and -beta on the kept copy: a read-only int8 vector.
 
-    With honest inputs (every amplitude exactly +-beta) each mode is
-    conclusive with probability 1 - e^{-2 beta^2} and the conclusive sign is
-    always the true one.  beta = 0 makes the two hypotheses identical, so
-    everything is inconclusive.
+    Entry i is the sign found at mode i, +1 or -1, or 0 where the outcome was
+    inconclusive; this is the recipient's classical record.  With honest
+    inputs (every amplitude exactly +-beta) each mode is conclusive with
+    probability 1 - e^{-2 beta^2} and the conclusive sign is always the true
+    one.  beta = 0 makes the two hypotheses identical, so everything is
+    inconclusive.
     """
     beta = float(reference_magnitude)
     # The USD law squares beta -+ Re(gamma); below this bound no square overflows.
@@ -167,7 +141,8 @@ def usd_measure(
     modes, u = _sparse_events(law[-1].max(), c.dim, rng)
     outcomes = np.zeros(c.dim, dtype=np.int8)
     outcomes[modes] = _usd_signs(law.take(modes, axis=1), u)
-    return UsdRecord(outcomes)
+    outcomes.setflags(write=False)
+    return outcomes
 
 
 def _sparse_events(q_max: float, n: int, rng: np.random.Generator):
@@ -250,20 +225,14 @@ def _equality_report(law: np.ndarray, u: np.ndarray, f: float) -> EqualityTestRe
     )
 
 
-class VerificationRole(Enum):
-    AUTHENTICATION = "authentication"  # direct recipient, threshold s_a
-    VERIFICATION = "verification"      # forwarded recipient, threshold s_v
-
-
 @dataclass(frozen=True)
 class VerificationVerdict:
-    """Mismatch tally between a revealed key and a recipient's USD record."""
+    """Mismatch tally between a revealed key and a recipient's USD signs."""
 
     mismatches: int
     tested: int
     fraction: float
     accept: bool
-    role: VerificationRole
     threshold: float
 
 
@@ -277,23 +246,26 @@ def _finite_real(value, name: str) -> float:
     return float(value)
 
 
-def verify_message(
-    revealed_key, record: UsdRecord, threshold: float, role: VerificationRole
-) -> VerificationVerdict:
+def verify_message(revealed_key, signs, threshold: float) -> VerificationVerdict:
     """Count conclusive positions whose sign contradicts the revealed key.
 
-    The expected sign at position i is (-1)^{key_i}.  The fraction is taken
-    over conclusive positions only; an all-inconclusive record yields
-    fraction 0 (and tested = 0 in the verdict flags the degeneracy).
+    ``signs`` is a recipient's USD record as :func:`usd_measure` returns it:
+    a vector over {-1, 0, +1} with one entry per key bit.  The expected sign
+    at position i is (-1)^{key_i}.  The fraction is taken over conclusive
+    positions only; an all-inconclusive record yields fraction 0 (and
+    tested = 0 in the verdict flags the degeneracy).
     """
     threshold = _finite_real(threshold, "threshold")
     key = parse_bits(revealed_key)
-    if key.size != record.dim:
-        raise ValueError("revealed key length does not match the record")
-    return _verdict(key, record.outcomes, threshold, role)
+    signs = np.asarray(signs)
+    if signs.ndim != 1 or not np.all((signs == -1) | (signs == 0) | (signs == 1)):
+        raise ValueError("signs must be a vector over {-1, 0, 1}")
+    if key.size != signs.size:
+        raise ValueError("revealed key length does not match the signs")
+    return _verdict(key, signs, threshold)
 
 
-def _verdict(key_bits, signs, threshold: float, role: VerificationRole) -> VerificationVerdict:
+def _verdict(key_bits, signs, threshold: float) -> VerificationVerdict:
     """Tally the non-zero signs that differ from (-1)^key_bits at the same positions."""
     # The expected sign is 1 - 2 k, so a conclusive sign contradicts bit k when it is 2 k - 1.
     mismatches = int(np.count_nonzero(signs == 2 * key_bits.astype(np.int8) - 1))
@@ -304,7 +276,6 @@ def _verdict(key_bits, signs, threshold: float, role: VerificationRole) -> Verif
         tested=tested,
         fraction=fraction,
         accept=bool(fraction < float(threshold)),
-        role=role,
         threshold=float(threshold),
     )
 
@@ -323,14 +294,12 @@ class QdsConfig:
     message_bit: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n", "message_bit"):
-            _index(getattr(self, name), name)
+        _index(self.n, "n", 1)
+        _index(self.message_bit, "message_bit")
         for name in ("alpha_sq", "f", "s_a", "s_v"):
             _finite_real(getattr(self, name), name)
         if not isinstance(self.tamper_params, dict):
             raise TypeError(f"tamper_params must be an object, got {self.tamper_params!r}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
         if self.alpha_sq <= 0.0:
             raise ValueError("alpha_sq must be positive")
         if self.alpha_sq / self.n > 1e16:
@@ -465,12 +434,11 @@ def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
     records.append(StageRecord("reveal", {"message_bit": b, "flipped_bits": flipped_bits}))
 
     verdicts = []
-    roles = (("bob", config.s_a, VerificationRole.AUTHENTICATION),
-             ("charlie", config.s_v, VerificationRole.VERIFICATION))
-    for who, threshold, role in roles:
+    stages = (("authentication", "bob", config.s_a), ("verification", "charlie", config.s_v))
+    for stage, who, threshold in stages:
         modes, signs = usd_events[who, b]
-        verdicts.append(verdict := _verdict(revealed[modes], signs, threshold, role))
+        verdicts.append(verdict := _verdict(revealed[modes], signs, threshold))
         tally = ("mismatches", "tested", "fraction", "threshold", "accept")
         data = {"recipient": who, **{key: getattr(verdict, key) for key in tally}}
-        records.append(StageRecord(role.value, data))
+        records.append(StageRecord(stage, data))
     return QdsTranscript(tuple(records), False, *verdicts)

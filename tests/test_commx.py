@@ -50,7 +50,7 @@ def test_partition_validation():
     # d0 splits d modes into S_0 = 1..d0 and S_1 = d0+1..d: any integer in 0..d
     assert click_counts(pattern(1, 0, 1), 0) == (0, 2)
     assert click_counts(pattern(1, 0, 1), 3) == (2, 0)
-    c = ModeCoherentState(np.zeros(2, dtype=complex), 0.0)
+    c = ModeCoherentState(np.zeros(2, dtype=complex))
     probs = uniform_block_probs(1.0, 2, 0)
     calls = [
         lambda d0: click_counts(pattern(1, 0), d0),
@@ -68,7 +68,7 @@ def test_partition_validation():
 
 
 def test_click_count_stats_vacuum():
-    c = ModeCoherentState(np.zeros(4, dtype=complex), 0.0)
+    c = ModeCoherentState(np.zeros(4, dtype=complex))
     stats = click_count_stats(c, 2)
     assert stats.mu0 == stats.mu1 == stats.tau == 0.0
 
@@ -77,7 +77,7 @@ def test_click_count_stats_two_modes():
     # two modes in S_0 with click probability 0.1 each: mu0 = 0.2, tau0 = 0.02
     power = -math.log(0.9)  # per-mode |amp|^2 giving p = 0.1
     amps = np.sqrt([power, power, 0.0, 0.0]).astype(complex)
-    c = ModeCoherentState.from_amplitudes(amps)
+    c = ModeCoherentState(amps)
     stats = click_count_stats(c, 2)
     assert stats.mu0 == pytest.approx(0.2, abs=1e-12)
     assert stats.tau0 == pytest.approx(0.02, abs=1e-12)

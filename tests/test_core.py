@@ -1,3 +1,4 @@
+import math
 import types
 
 import numpy as np
@@ -257,3 +258,38 @@ def test_all_lists_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     ]
     assert sorted(cohsim.__all__) == sorted(public)
+
+
+# Each function taking a count or a dimension: (argument name, call with that argument).
+POSITIVE_INTEGER_ARGUMENTS = {
+    "basis_state": ("d", lambda d: cohsim.basis_state(d, 1)),
+    "uniform_state": ("d", cohsim.uniform_state),
+    "random_state": ("d", lambda d: cohsim.random_state(d, Seed(13).rng())),
+    "random_unitary": ("d", lambda d: cohsim.random_unitary(d, Seed(13).rng())),
+    "transmitted_info": ("d", cohsim.transmitted_info),
+    "effective_dimension_bound": ("d", lambda d: cohsim.effective_dimension_bound(1.0, 5, d)),
+    "estimate_success_probability": ("trials", lambda trials: cohsim.estimate_success_probability(
+        lambda rng, size: np.zeros((size, 2), dtype=np.int64), trials, Seed(13))),
+    "run_experiment": ("trials", lambda trials: cohsim.run_experiment(2, None, None, 1.0, trials, Seed(13))),
+    "keygen": ("n", lambda n: cohsim.keygen(n, Seed(13).rng())),
+    "QdsConfig": ("n", lambda n: cohsim.QdsConfig(n=n)),
+}
+
+
+# transmitted_info returned nan for nan, 1.32 for 2.5 and 0.0 for True; the
+# states and unitaries raised numpy TypeErrors on 2.5 or nan that did not name d.
+@pytest.mark.parametrize(
+    "value, error",
+    [(math.nan, TypeError), (2.5, TypeError), (True, TypeError), (0, ValueError), (-1, ValueError)],
+)
+@pytest.mark.parametrize("function", sorted(POSITIVE_INTEGER_ARGUMENTS))
+def test_counts_and_dimensions_must_be_positive_integers(function, value, error):
+    name, call = POSITIVE_INTEGER_ARGUMENTS[function]
+    with pytest.raises(error, match=f"^{name} must be"):
+        call(value)
+
+
+@pytest.mark.parametrize("function", sorted(POSITIVE_INTEGER_ARGUMENTS))
+def test_counts_and_dimensions_accept_a_numpy_one(function):
+    _, call = POSITIVE_INTEGER_ARGUMENTS[function]
+    call(np.int64(1))

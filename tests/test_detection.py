@@ -44,14 +44,14 @@ def test_click_probability_small_amplitude_approximation():
 
 
 def test_sample_click_pattern_vacuum_never_clicks():
-    c = ModeCoherentState(np.zeros(5, dtype=complex), 0.0)
+    c = ModeCoherentState(np.zeros(5, dtype=complex))
     rng = Seed(60).rng()
     for _ in range(20):
         assert not sample_click_pattern(c, rng).any_click
 
 
 def test_sample_click_pattern_bright_mode_nearly_always_clicks():
-    c = ModeCoherentState.from_amplitudes([math.sqrt(50.0)])
+    c = ModeCoherentState([math.sqrt(50.0)])
     rng = Seed(61).rng()
     hits = sum(sample_click_pattern(c, rng).clicks[0] for _ in range(10_000))
     assert hits / 10_000 > 0.999
@@ -80,7 +80,7 @@ def test_sampling_is_deterministic_per_seed():
 
 
 def test_sample_photon_numbers_vacuum():
-    c = ModeCoherentState(np.zeros(3, dtype=complex), 0.0)
+    c = ModeCoherentState(np.zeros(3, dtype=complex))
     counts = sample_photon_numbers(c, Seed(66).rng(), 1)
     np.testing.assert_array_equal(counts, [[0, 0, 0]])
 

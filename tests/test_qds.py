@@ -11,8 +11,6 @@ from cohsim import (
     ModeCoherentState,
     QdsConfig,
     Seed,
-    UsdRecord,
-    VerificationRole,
     equality_test,
     keygen,
     phase_encoded_state,
@@ -112,7 +110,7 @@ def test_split_halves_amplitudes_and_conserves_energy():
 
 
 def test_split_zero_state():
-    c = ModeCoherentState(np.zeros(3, dtype=complex), 0.0)
+    c = ModeCoherentState(np.zeros(3, dtype=complex))
     a, b = split(c)
     assert a.mean_photon_number == 0.0
     assert b.mean_photon_number == 0.0
@@ -124,9 +122,9 @@ def test_split_zero_state():
 
 
 def test_usd_zero_reference_all_inconclusive():
-    c = ModeCoherentState(np.zeros(16, dtype=complex), 0.0)
-    rec = usd_measure(c, 0.0, Seed(130).rng())
-    assert rec.tested == 0
+    c = ModeCoherentState(np.zeros(16, dtype=complex))
+    signs = usd_measure(c, 0.0, Seed(130).rng())
+    assert np.count_nonzero(signs) == 0
 
 
 def test_usd_conclusive_rate_half():
@@ -134,9 +132,9 @@ def test_usd_conclusive_rate_half():
     beta = math.sqrt(math.log(2.0) / 2.0)
     n = 10_000
     amps = np.full(n, beta, dtype=complex)
-    c = ModeCoherentState.from_amplitudes(amps)
-    rec = usd_measure(c, beta, Seed(131).rng())
-    assert abs(rec.unambiguous_fraction - 0.5) < 3 * math.sqrt(0.25 / n)
+    c = ModeCoherentState(amps)
+    signs = usd_measure(c, beta, Seed(131).rng())
+    assert abs(np.count_nonzero(signs) / n - 0.5) < 3 * math.sqrt(0.25 / n)
 
 
 def test_usd_honest_runs_never_err_exhaustively():
@@ -147,10 +145,10 @@ def test_usd_honest_runs_never_err_exhaustively():
         for bits in itertools.product((0, 1), repeat=n):
             key = np.array(bits, dtype=np.uint8)
             signs = 1 - 2 * key.astype(np.int8)
-            c = ModeCoherentState.from_amplitudes(signs * beta)
-            rec = usd_measure(c, beta, rng)
-            conclusive = rec.outcomes != 0
-            assert np.all(rec.outcomes[conclusive] == signs[conclusive])
+            c = ModeCoherentState(signs * beta)
+            found = usd_measure(c, beta, rng)
+            conclusive = found != 0
+            assert np.all(found[conclusive] == signs[conclusive])
 
 
 def test_usd_honest_probabilities_reduce_to_optimal_rate():
@@ -192,7 +190,7 @@ def test_usd_probabilities_stay_finite_at_extreme_references(beta):
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0, 1e160, 1e200, 1.7e308])
 def test_usd_measure_refuses_a_bad_reference_magnitude(beta):
     # nan reached numpy's binomial, and huge values overflowed (beta -+ x)^2.
-    c = ModeCoherentState.from_amplitudes([1.0, -1.0])
+    c = ModeCoherentState([1.0, -1.0])
     with pytest.raises(ValueError, match="reference magnitude"):
         usd_measure(c, beta, Seed(132).rng())
 
@@ -200,21 +198,34 @@ def test_usd_measure_refuses_a_bad_reference_magnitude(beta):
 def test_usd_measure_is_exact_just_inside_the_magnitude_bound():
     # beta + |gamma| = 8e153 < 1e154: honest modes are conclusive with certainty
     beta = 4e153
-    c = ModeCoherentState.from_amplitudes([beta, -beta])
-    rec = usd_measure(c, beta, Seed(133).rng())
-    assert rec.outcomes.tolist() == [1, -1]
-    rec = usd_measure(ModeCoherentState.from_amplitudes([1.0, -1.0]), beta, Seed(133).rng())
-    assert rec.tested == 0
+    c = ModeCoherentState([beta, -beta])
+    assert usd_measure(c, beta, Seed(133).rng()).tolist() == [1, -1]
+    signs = usd_measure(ModeCoherentState([1.0, -1.0]), beta, Seed(133).rng())
+    assert np.count_nonzero(signs) == 0
+
+
+def test_usd_measure_returns_a_read_only_int8_sign_vector():
+    beta = 0.8
+    signs = usd_measure(ModeCoherentState([beta, -beta, 0.0, 3 * beta]), beta, Seed(134).rng())
+    assert signs.shape == (4,) and signs.dtype == np.int8
+    assert set(signs.tolist()) <= {-1, 0, 1}
+    assert not signs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        signs[0] = 0
 
 
 def test_usd_record_validation():
-    for outcomes in ([2, 0], [2], [-2]):
-        with pytest.raises(ValueError, match="outcomes must be"):
-            UsdRecord(np.array(outcomes, dtype=np.int8))
-    rec = UsdRecord(np.array([1, -1, 0], dtype=np.int8))
-    assert rec.tested == 2
-    assert rec.unambiguous_fraction == pytest.approx(2 / 3)
-    assert rec.outcomes.dtype == np.int8 and rec.outcomes.tolist() == [1, -1, 0]
+    # The record is the sign vector itself, so verify_message checks it; 0.5 used
+    # to be truncated to an inconclusive 0.
+    for signs in ([2, 0], [2], [-2], [0.5, 1], [1.0, math.nan], [[1, -1]], 1):
+        with pytest.raises(ValueError, match="signs must be"):
+            verify_message("01", signs, 0.5)
+    for key in ("0", "011"):
+        with pytest.raises(ValueError, match="length"):
+            verify_message(key, np.array([1, -1], dtype=np.int8), 0.5)
+    verdict = verify_message("011", np.array([1, -1, 0], dtype=np.int8), 0.5)
+    assert (verdict.mismatches, verdict.tested) == (0, 2)
+    assert verify_message("011", [1.0, -1.0, 0.0], 0.5) == verdict
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +252,8 @@ def test_equality_test_single_sign_flip_click_rate():
     # rate check on a fully differing pair instead: every mode has NEQ
     # amplitude sqrt(2) beta and click probability 1 - e^{-2 beta^2}
     w = -u
-    a = ModeCoherentState.from_amplitudes(u)
-    b = ModeCoherentState.from_amplitudes(w)
+    a = ModeCoherentState(u)
+    b = ModeCoherentState(w)
     report = equality_test(a, b, 0.5, Seed(134).rng())
     p = -math.expm1(-2 * beta * beta)
     assert abs(report.neq_clicks / n - p) < 3 * math.sqrt(p * (1 - p) / n)
@@ -283,8 +294,7 @@ def test_equality_test_validates_fraction():
 def test_verify_honest_record_accepts():
     key = "0110"
     signs = np.array([1, -1, -1, 1], dtype=np.int8)
-    rec = UsdRecord(signs)  # fully conclusive, fully correct
-    verdict = verify_message(key, rec, 0.02, VerificationRole.AUTHENTICATION)
+    verdict = verify_message(key, signs, 0.02)  # fully conclusive, fully correct
     assert verdict.mismatches == 0
     assert verdict.accept
 
@@ -296,18 +306,16 @@ def test_verify_flipped_bits_are_detected_exactly():
     signs = (1 - 2 * key.astype(np.int8)).astype(np.int8)
     conclusive = rng.random(n) < 0.7
     outcomes = np.where(conclusive, signs, 0).astype(np.int8)
-    rec = UsdRecord(outcomes)
     flips = rng.random(n) < 0.2
     revealed = key ^ flips.astype(np.uint8)
-    verdict = verify_message(revealed, rec, 0.5, VerificationRole.VERIFICATION)
+    verdict = verify_message(revealed, outcomes, 0.5)
     # flips are visible exactly at conclusive positions
     assert verdict.mismatches == int(np.count_nonzero(conclusive & flips))
     assert verdict.tested == int(np.count_nonzero(conclusive))
 
 
 def test_verify_empty_record_is_degenerate_accept():
-    rec = UsdRecord(np.zeros(8, dtype=np.int8))
-    verdict = verify_message("00000000", rec, 0.02, VerificationRole.AUTHENTICATION)
+    verdict = verify_message("00000000", np.zeros(8, dtype=np.int8), 0.02)
     assert verdict.tested == 0
     assert verdict.fraction == 0.0
     assert verdict.accept
@@ -316,18 +324,16 @@ def test_verify_empty_record_is_degenerate_accept():
 @pytest.mark.parametrize("threshold", ["0.5", None, True, math.nan, math.inf, -math.inf])
 def test_verify_refuses_a_non_real_or_non_finite_threshold(threshold):
     # A nan threshold rejected every record, and "0.5" went through float().
-    rec = UsdRecord(np.array([1, -1], dtype=np.int8))
     with pytest.raises(TypeError, match="threshold"):
-        verify_message("01", rec, threshold, VerificationRole.AUTHENTICATION)
+        verify_message("01", np.array([1, -1], dtype=np.int8), threshold)
 
 
 def test_verify_threshold_ordering_property():
     outcomes = np.array([1, 1, -1, 0, -1, 1], dtype=np.int8)
-    rec = UsdRecord(outcomes)
     key = "010010"
-    strict = verify_message(key, rec, 0.02, VerificationRole.AUTHENTICATION)
+    strict = verify_message(key, outcomes, 0.02)
     for threshold in (0.05, 0.1, 0.5, 0.9):
-        loose = verify_message(key, rec, threshold, VerificationRole.VERIFICATION)
+        loose = verify_message(key, outcomes, threshold)
         if strict.accept:
             assert loose.accept
 
@@ -538,9 +544,9 @@ def _reference_run(config, seed):
     for b in (0, 1):
         for who, bits in (("bob", keys[b]), ("charlie", keys[b] ^ masks[b])):
             kept, shared[who, b] = split(phase_encoded_state(bits, alpha))
-            rec = usd[who, b] = usd_measure(kept, beta, rng)
-            counts = {"tested": rec.tested, "plus": int(np.sum(rec.outcomes == 1)),
-                      "minus": int(np.sum(rec.outcomes == -1))}
+            signs = usd[who, b] = usd_measure(kept, beta, rng)
+            counts = {"tested": np.count_nonzero(signs), "plus": int(np.sum(signs == 1)),
+                      "minus": int(np.sum(signs == -1))}
             records.append(StageRecord("usd", {"recipient": who, "key_bit": b, **counts}))
     aborted = False
     for b in (0, 1):
@@ -557,11 +563,10 @@ def _reference_run(config, seed):
     if config.tamper_model == "flip_revealed":
         flipped = _flip_mask(n, fraction, rng)
     records.append(StageRecord("reveal", {"message_bit": b_msg, "flipped_bits": int(flipped.sum())}))
-    roles = (("bob", config.s_a, VerificationRole.AUTHENTICATION),
-             ("charlie", config.s_v, VerificationRole.VERIFICATION))
-    for who, threshold, role in roles:
-        v = verify_message(revealed ^ flipped, usd[who, b_msg], threshold, role)
-        records.append(StageRecord(role.value, {
+    stages = (("authentication", "bob", config.s_a), ("verification", "charlie", config.s_v))
+    for stage, who, threshold in stages:
+        v = verify_message(revealed ^ flipped, usd[who, b_msg], threshold)
+        records.append(StageRecord(stage, {
             "recipient": who, "mismatches": v.mismatches, "tested": v.tested,
             "fraction": v.fraction, "threshold": v.threshold, "accept": v.accept,
         }))
@@ -830,14 +835,16 @@ def test_config_bounds_the_power_per_mode():
 
 
 def test_run_qds_verifies_without_per_mode_records(monkeypatch):
-    # After key generation a run keeps only the modes its draws touched.
+    # After key generation a run keeps only the modes its draws touched: it
+    # neither measures nor verifies a per-mode sign vector.
     calls = []
-    post_init, verify = UsdRecord.__post_init__, qds.verify_message
-    monkeypatch.setattr(UsdRecord, "__post_init__", lambda rec: calls.append("record") or post_init(rec))
-    monkeypatch.setattr(qds, "verify_message", lambda *args: calls.append("verify") or verify(*args))
+    for name in ("usd_measure", "verify_message"):
+        dense = getattr(qds, name)
+        monkeypatch.setattr(qds, name, lambda *args, f=dense, name=name: calls.append(name) or f(*args))
     t = run_qds(QdsConfig(n=65536, alpha_sq=9.0), Seed(177))
     assert t.accepted_by_both and t.bob_verdict.tested > 0
     assert calls == []
     # the counters do see the dense path
-    qds.verify_message("01", UsdRecord([1, -1]), 0.02, VerificationRole.AUTHENTICATION)
-    assert calls == ["record", "verify"]
+    signs = qds.usd_measure(ModeCoherentState([1.0, -1.0]), 1.0, Seed(178).rng())
+    qds.verify_message("01", signs, 0.02)
+    assert calls == ["usd_measure", "verify_message"]
