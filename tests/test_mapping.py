@@ -156,6 +156,13 @@ def test_mode_amplitudes_must_be_a_non_empty_vector(amps):
         ModeCoherentState(np.array(amps))
 
 
+def test_from_amplitudes_refuses_a_power_past_the_double_range():
+    # The constructor builds a state from its amplitudes alone; the power sum
+    # overflowed with a RuntimeWarning, not a clear error.
+    with pytest.raises(ValueError, match="must be finite"):
+        ModeCoherentState([1e160, 1.0])
+
+
 def test_mean_photon_number_is_the_summed_power():
     c = ModeCoherentState([1.0, 2.0j])
     assert c.mean_photon_number == pytest.approx(5.0)
