@@ -82,27 +82,9 @@ from .qds import (
 
 __version__ = "0.1.0"
 
+# The public surface: every name the imports above bind, less the submodules they
+# bind too (``type(core)`` is the module type).
 __all__ = [
-    "DimensionMismatchError", "PureState", "Seed", "UnitaryOp",
-    "apply_unitary", "basis_state", "inner_product", "normalized",
-    "random_state", "random_unitary", "uniform_state",
-    "DimensionBound", "ModeCoherentState", "beam_splitter",
-    "effective_dimension_bound",
-    "map_state", "map_unitary_apply", "overlap_coherent", "parse_bits",
-    "phase_encoded_state", "poisson_tail_bound", "solve_alpha_for_overlap",
-    "transmitted_info",
-    "ClickPattern", "click_probabilities",
-    "multinomial_oracle", "photon_count_probability",
-    "poissonized_repetition_oracle", "sample_click_pattern",
-    "sample_photon_numbers",
-    "ClickCountStats", "LecamCheck", "McEstimate", "Outcome",
-    "SuccessConditionReport", "check_success_condition",
-    "click_count_stats", "click_counts", "decide",
-    "estimate_success_probability",
-    "lecam_bound_check", "poisson_binomial_exact", "two_block_trial_generator",
-    "Matching", "TrialStats", "bob_unitary", "output_port_labels",
-    "random_matching", "run_experiment",
-    "EqualityTestReport", "QdsConfig", "QdsTranscript",
-    "VerificationVerdict", "equality_test", "keygen", "run_qds", "split",
-    "usd_measure", "verify_message",
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, type(core))
 ]

@@ -28,7 +28,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import Seed, _index
+from .core import Seed, _index, _real
 from .detection import ClickPattern, click_probabilities
 from .mapping import ModeCoherentState
 
@@ -43,9 +43,9 @@ class Outcome(Enum):
 
 def _check_d0(d0, d: int) -> int:
     """S_0 is modes 1..d0 and S_1 modes d0+1..d, so d0 must be an integer in 0..d."""
-    if _index(d0, "d0") > d:
+    if (d0 := _index(d0, "d0")) > d:
         raise ValueError(f"d0 = {d0} exceeds the {d} modes")
-    return int(d0)
+    return d0
 
 
 def click_counts(pattern: ClickPattern, d0: int) -> tuple[int, int]:
@@ -213,12 +213,11 @@ def check_success_condition(
         A report with the condition's left-hand side, whether it holds, and
         the implied lower bound 1 - lhs on the translated success probability.
     """
-    epsilon = float(epsilon)
-    mu = float(mu)
+    epsilon, mu = _real(epsilon, "epsilon"), _real(mu, "mu")
     if not 0.0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 1/2)")
-    if not 0.0 <= mu < math.inf:
-        raise ValueError(f"mu must be finite and non-negative, got {mu!r}")
+        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
+    if mu < 0.0:
+        raise ValueError(f"mu must be non-negative, got {mu!r}")
 
     probs_qubit = np.atleast_1d(np.asarray(probs_qubit, dtype=np.float64))
     if not (np.all(probs_qubit >= 0.0) and abs(probs_qubit.sum() - 1.0) <= 1e-9):
@@ -244,7 +243,13 @@ def two_block_trial_generator(
     pattern.  The sampler maps ``(rng, size)`` to the int array of
     ``(c0, c1)`` rows, shape ``(size, 2)``, from one interleaved binomial
     draw that numpy fills in C order: row t is the same at any block size.
+    The block sizes are counts and the click probabilities lie in [0, 1].
     """
+    d0, d1 = _index(d0, "d0"), _index(d1, "d1")
+    p_click_0, p_click_1 = _real(p_click_0, "p_click_0"), _real(p_click_1, "p_click_1")
+    for name, p in (("p_click_0", p_click_0), ("p_click_1", p_click_1)):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
 
     def sample(rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.binomial([d0, d1], [p_click_0, p_click_1], size=(size, 2))

@@ -7,11 +7,15 @@ through an explicit :class:`Seed`: runners name their streams with
 hand each stream's ``np.random.Generator`` to the functions that draw, in a
 fixed order, so a fixed seed reproduces bit-identical results.  A stream's
 generator is seeded by NumPy's own ``SeedSequence(master_seed, spawn_key)``.
+Scalar arguments are checked here: counts by :func:`_index`, reals by
+:func:`_real`; a wrong type raises ``TypeError`` and a non-finite or
+out-of-range value ``ValueError``, both naming the argument.
 """
 
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +43,15 @@ def _index(value, what: str, low: int = 0) -> int:
         bound = f"at least {low}" if low else "non-negative"
         raise ValueError(f"{what} must be {bound}, got {value}")
     return int(value)
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a finite Python float; bools and non-reals are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} must be a real number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # nan, inf and ints past the double range
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -146,9 +159,9 @@ def normalized(amplitudes) -> PureState:
 
 def basis_state(d: int, k: int) -> PureState:
     """Canonical basis state labelled k, with k in 1..d (mode numbering)."""
-    d = _index(d, "d", 1)
-    if not 1 <= k <= d:
-        raise ValueError(f"basis label {k} outside 1..{d}")
+    d, k = _index(d, "d", 1), _index(k, "k", 1)
+    if k > d:
+        raise ValueError(f"k must be at most d = {d}, got {k}")
     amps = np.zeros(d, dtype=np.complex128)
     amps[k - 1] = 1.0
     return PureState(amps)

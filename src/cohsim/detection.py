@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PureState, _index
+from .core import PureState, _index, _real
 from .mapping import ModeCoherentState
 
 # Refuse to enumerate photon-number records beyond this many compositions.
@@ -115,9 +115,7 @@ def multinomial_oracle(s: PureState, n: int) -> dict[tuple[int, ...], float]:
     this is also the tally law of n independent canonical-basis measurements
     of s.  Keys are plain count tuples.
     """
-    if n < 0:
-        raise ValueError("photon number must be non-negative")
-    d = s.dim
+    n, d = _index(n, "n"), s.dim
     n_records = math.comb(n + d - 1, d - 1)
     if n_records > _MAX_ENUMERATION:
         raise ValueError(
@@ -146,8 +144,8 @@ def poissonized_repetition_oracle(
     row t of the (trials, d) int64 result holds run t's per-mode tallies.  The
     law of a row is identical to :func:`sample_photon_numbers` with |alpha|^2 = mu.
     """
-    if mu < 0.0:
-        raise ValueError("mu must be non-negative")
+    if (mu := _real(mu, "mu")) < 0.0:
+        raise ValueError(f"mu must be non-negative, got {mu!r}")
     n = rng.poisson(mu, _index(trials, "trials"))
     probs = np.abs(s.amplitudes) ** 2
     return rng.multinomial(n, probs / probs.sum())

@@ -70,8 +70,8 @@ class Matching:
 
 def random_matching(n: int, rng: np.random.Generator) -> Matching:
     """Uniformly random perfect matching on {1..n}."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError("n must be a positive even number")
+    if (n := _index(n, "n", 2)) % 2:
+        raise ValueError(f"n must be even, got {n}")
     perm = rng.permutation(n) + 1
     pairs = tuple((int(perm[2 * t]), int(perm[2 * t + 1])) for t in range(n // 2))
     return Matching(pairs)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PureState, UnitaryOp, _check_same_dim, _index
+from .core import PureState, UnitaryOp, _check_same_dim, _index, _real
 
 # Amplitude transmission of a balanced beam splitter.
 _BALANCED = 1.0 / math.sqrt(2.0)
@@ -101,8 +101,7 @@ def parse_bits(bits) -> np.ndarray:
             raise ValueError(f"bit string must be non-empty over {{0,1}}: {bits!r}")
         return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     arr = np.atleast_1d(np.asarray(bits))
-    unsigned = arr.dtype.kind in "bu"  # there "every entry is 0 or 1" is one reduction, max <= 1
-    if arr.size < 1 or not (arr.max() <= 1 if unsigned else np.all((arr == 0) | (arr == 1))):
+    if arr.size < 1 or not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bits must be a non-empty sequence of 0/1 values")
     return arr.astype(np.uint8)
 
@@ -143,12 +142,12 @@ def solve_alpha_for_overlap(delta: float, target_delta_alpha: float) -> float:
     Inverts exp[mu (delta - 1)] = target for real delta in (0, 1) and target
     in (0, 1): mu = ln(target) / (delta - 1).
     """
-    delta = float(delta)
-    target = float(target_delta_alpha)
+    delta = _real(delta, "delta")
+    target = _real(target_delta_alpha, "target_delta_alpha")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie strictly in (0, 1), got {delta!r}")
     if not 0.0 < target < 1.0:
-        raise ValueError(f"target overlap must lie strictly in (0, 1), got {target!r}")
+        raise ValueError(f"target_delta_alpha must lie strictly in (0, 1), got {target!r}")
     return math.log(target) / (delta - 1.0)
 
 
@@ -184,12 +183,11 @@ def poisson_tail_bound(mu: float, delta: float) -> float:
     :func:`_poisson_deviance`).  The raw expression exceeds 1 for small
     windows, hence the clamp; it is a probability bound either way.
     """
-    mu = float(mu)
-    delta = float(delta)
-    if not 0.0 <= mu < math.inf:  # nan fails too: the deviance series never ends on it
-        raise ValueError(f"mu must be finite and non-negative, got {mu!r}")
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    mu, delta = _real(mu, "mu"), _real(delta, "delta")  # on nan the deviance series never ends
+    if mu < 0.0:
+        raise ValueError(f"mu must be non-negative, got {mu!r}")
+    if delta <= 0.0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
     if mu == 0.0:
         return 0.0
     log_raw = math.log(2.0) - _poisson_deviance(mu, delta)
@@ -245,12 +243,9 @@ def effective_dimension_bound(mu: float, delta: int, d: int) -> DimensionBound:
     The log2 value comes from :func:`_log_comb`, so the sweep never overflows,
     and the tail probability comes from :func:`poisson_tail_bound`.
     """
-    mu = float(mu)
-    if not 0.0 <= mu < math.inf:
-        raise ValueError(f"mu must be finite and non-negative, got {mu!r}")
-    if not 1 <= delta < math.inf:  # nan fails too, before int() can raise on it or on inf
-        raise ValueError(f"delta must be a finite positive integer, got {delta!r}")
-    delta, d = int(delta), _index(d, "d", 1)
+    mu, delta, d = _real(mu, "mu"), _index(delta, "delta", 1), _index(d, "d", 1)
+    if mu < 0.0:
+        raise ValueError(f"mu must be non-negative, got {mu!r}")
 
     n_top = math.floor(mu) + delta + d - 1
     k = d - 1
@@ -259,10 +254,9 @@ def effective_dimension_bound(mu: float, delta: int, d: int) -> DimensionBound:
     log2_upper = math.log2(2 * delta) + _log_comb(n_top, k) / math.log(2.0)
     # The exact count can run to millions of digits; build it only when small.
     d_upper = 2 * delta * math.comb(n_top, k) if log2_upper < 53.0 else None
-    tail = poisson_tail_bound(mu, float(delta)) if mu > 0.0 else 0.0
     return DimensionBound(
         delta=delta,
         d_alpha_upper=d_upper,
         log2_d_alpha_upper=log2_upper,
-        tail_probability_upper=tail,
+        tail_probability_upper=poisson_tail_bound(mu, delta),
     )

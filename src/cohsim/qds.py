@@ -37,14 +37,13 @@ run costs its clicks, not n.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any
 
 import numpy as np
 
-from .core import Seed, _index
+from .core import Seed, _index, _real
 # phase_encoded_state is unused here; perfbench/spans.py PATCHES resolves it as cohsim.qds's.
 from .mapping import ModeCoherentState, beam_splitter, parse_bits, phase_encoded_state
 
@@ -130,11 +129,11 @@ def usd_measure(
     one.  beta = 0 makes the two hypotheses identical, so everything is
     inconclusive.
     """
-    beta = float(reference_magnitude)
+    beta = _real(reference_magnitude, "reference_magnitude")
     # The USD law squares beta -+ Re(gamma); below this bound no square overflows.
     if not (0.0 <= beta and beta + np.abs(c.mode_amplitudes).max() < 1e154):
         raise ValueError(
-            f"reference magnitude must be finite and non-negative, and plus the largest"
+            f"reference_magnitude must be non-negative, and plus the largest"
             f" mode modulus below 1e154, got {reference_magnitude!r}"
         )
     law = _usd_law(c.mode_amplitudes, beta)
@@ -187,8 +186,8 @@ def equality_test(
     """
     if b.dim != c.dim:
         raise ValueError("states must have the same number of modes")
-    if not 0.0 < float(f) < 1.0:
-        raise ValueError("abort fraction f must lie in (0, 1)")
+    if not 0.0 < (f := _real(f, "f")) < 1.0:
+        raise ValueError(f"f must lie in (0, 1), got {f!r}")
     law = _equality_law(b.mode_amplitudes, c.mode_amplitudes)
     modes, u = _sparse_events(law[-1].max(), b.dim, rng)
     return _equality_report(law.take(modes, axis=1), u, f)
@@ -221,7 +220,7 @@ def _equality_report(law: np.ndarray, u: np.ndarray, f: float) -> EqualityTestRe
         neq_clicks=neq_clicks,
         total_clicks=total,
         neq_fraction=fraction,
-        aborted=bool(fraction > float(f)),
+        aborted=bool(fraction > f),
     )
 
 
@@ -236,16 +235,6 @@ class VerificationVerdict:
     threshold: float
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _finite_real(value, name: str) -> float:
-    if not _is_real(value) or not math.isfinite(value):
-        raise TypeError(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
-
-
 def verify_message(revealed_key, signs, threshold: float) -> VerificationVerdict:
     """Count conclusive positions whose sign contradicts the revealed key.
 
@@ -255,7 +244,7 @@ def verify_message(revealed_key, signs, threshold: float) -> VerificationVerdict
     positions only; an all-inconclusive record yields fraction 0 (and
     tested = 0 in the verdict flags the degeneracy).
     """
-    threshold = _finite_real(threshold, "threshold")
+    threshold = _real(threshold, "threshold")
     key = parse_bits(revealed_key)
     signs = np.asarray(signs)
     if signs.ndim != 1 or not np.all((signs == -1) | (signs == 0) | (signs == 1)):
@@ -275,7 +264,7 @@ def _verdict(key_bits, signs, threshold: float) -> VerificationVerdict:
         mismatches=mismatches,
         tested=tested,
         fraction=fraction,
-        accept=bool(fraction < float(threshold)),
+        accept=bool(fraction < threshold),
         threshold=float(threshold),
     )
 
@@ -297,7 +286,7 @@ class QdsConfig:
         _index(self.n, "n", 1)
         _index(self.message_bit, "message_bit")
         for name in ("alpha_sq", "f", "s_a", "s_v"):
-            _finite_real(getattr(self, name), name)
+            _real(getattr(self, name), name)
         if not isinstance(self.tamper_params, dict):
             raise TypeError(f"tamper_params must be an object, got {self.tamper_params!r}")
         if self.alpha_sq <= 0.0:
@@ -320,10 +309,10 @@ class QdsConfig:
                 raise ValueError(
                     f"tamper model {self.tamper_model!r} takes no tamper_params key {key!r}"
                 )
-        if allowed:
-            frac = self.tamper_params.get("fraction")
-            if not _is_real(frac) or not 0.0 < frac <= 1.0:
-                raise ValueError("tamper_params must set 'fraction' in (0, 1]")
+        if allowed and "fraction" not in self.tamper_params:
+            raise ValueError("tamper_params must set 'fraction' in (0, 1]")
+        if allowed and not 0.0 < _real(self.tamper_params["fraction"], "fraction") <= 1.0:
+            raise ValueError("fraction must lie in (0, 1]")
         if self.message_bit not in (0, 1):
             raise ValueError("message_bit must be 0 or 1")
 
@@ -376,7 +365,7 @@ class QdsTranscript:
 
 def _flip_mask(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
     """0/1 mask flipping an exact round(fraction * n) positions, at least one."""
-    count = max(1, round(float(fraction) * n))
+    count = max(1, round(fraction * n))
     mask = np.zeros(n, dtype=np.uint8)
     mask[rng.choice(n, size=count, replace=False)] = 1
     return mask

@@ -260,17 +260,21 @@ def test_all_lists_exactly_the_public_names():
     assert sorted(cohsim.__all__) == sorted(public)
 
 
-# Each function taking a count or a dimension: (argument name, call with that argument).
+# Each function taking a count or a dimension: (argument name, call with that
+# argument[, its smallest valid value where that is not 1]).
 POSITIVE_INTEGER_ARGUMENTS = {
     "basis_state": ("d", lambda d: cohsim.basis_state(d, 1)),
+    "basis_state:k": ("k", lambda k: cohsim.basis_state(3, k)),
     "uniform_state": ("d", cohsim.uniform_state),
     "random_state": ("d", lambda d: cohsim.random_state(d, Seed(13).rng())),
     "random_unitary": ("d", lambda d: cohsim.random_unitary(d, Seed(13).rng())),
     "transmitted_info": ("d", cohsim.transmitted_info),
     "effective_dimension_bound": ("d", lambda d: cohsim.effective_dimension_bound(1.0, 5, d)),
+    "effective_dimension_bound:delta": ("delta", lambda delta: cohsim.effective_dimension_bound(1.0, delta, 4)),
     "estimate_success_probability": ("trials", lambda trials: cohsim.estimate_success_probability(
         lambda rng, size: np.zeros((size, 2), dtype=np.int64), trials, Seed(13))),
     "run_experiment": ("trials", lambda trials: cohsim.run_experiment(2, None, None, 1.0, trials, Seed(13))),
+    "random_matching": ("n", lambda n: cohsim.random_matching(n, Seed(13).rng()), 2),
     "keygen": ("n", lambda n: cohsim.keygen(n, Seed(13).rng())),
     "QdsConfig": ("n", lambda n: cohsim.QdsConfig(n=n)),
 }
@@ -278,18 +282,97 @@ POSITIVE_INTEGER_ARGUMENTS = {
 
 # transmitted_info returned nan for nan, 1.32 for 2.5 and 0.0 for True; the
 # states and unitaries raised numpy TypeErrors on 2.5 or nan that did not name d.
+# basis_state(3, True) returned |1>, and effective_dimension_bound truncated delta = 2.5.
 @pytest.mark.parametrize(
     "value, error",
     [(math.nan, TypeError), (2.5, TypeError), (True, TypeError), (0, ValueError), (-1, ValueError)],
 )
 @pytest.mark.parametrize("function", sorted(POSITIVE_INTEGER_ARGUMENTS))
 def test_counts_and_dimensions_must_be_positive_integers(function, value, error):
-    name, call = POSITIVE_INTEGER_ARGUMENTS[function]
+    name, call, *_ = POSITIVE_INTEGER_ARGUMENTS[function]
     with pytest.raises(error, match=f"^{name} must be"):
         call(value)
 
 
 @pytest.mark.parametrize("function", sorted(POSITIVE_INTEGER_ARGUMENTS))
 def test_counts_and_dimensions_accept_a_numpy_one(function):
-    _, call = POSITIVE_INTEGER_ARGUMENTS[function]
-    call(np.int64(1))
+    _, call, *smallest = POSITIVE_INTEGER_ARGUMENTS[function]
+    call(np.int64(smallest[0] if smallest else 1))
+
+
+# Counts for which 0 is valid: (argument name, call with that argument).
+NON_NEGATIVE_INTEGER_ARGUMENTS = {
+    "multinomial_oracle": ("n", lambda n: cohsim.multinomial_oracle(cohsim.uniform_state(2), n)),
+    "two_block_trial_generator:d0": ("d0", lambda d0: cohsim.two_block_trial_generator(d0, 0.5, 1, 0.5)),
+    "two_block_trial_generator:d1": ("d1", lambda d1: cohsim.two_block_trial_generator(1, 0.5, d1, 0.5)),
+}
+
+
+# multinomial_oracle accepted True and raised an unnamed TypeError on 1.5; a
+# negative block size built a sampler that failed at its first draw.
+@pytest.mark.parametrize(
+    "value, error", [(math.nan, TypeError), (2.5, TypeError), (True, TypeError), (-1, ValueError)]
+)
+@pytest.mark.parametrize("function", sorted(NON_NEGATIVE_INTEGER_ARGUMENTS))
+def test_counts_must_be_non_negative_integers(function, value, error):
+    name, call = NON_NEGATIVE_INTEGER_ARGUMENTS[function]
+    with pytest.raises(error, match=f"^{name} must be"):
+        call(value)
+
+
+@pytest.mark.parametrize("function", sorted(NON_NEGATIVE_INTEGER_ARGUMENTS))
+def test_counts_accept_a_numpy_zero(function):
+    _, call = NON_NEGATIVE_INTEGER_ARGUMENTS[function]
+    call(np.int64(0))
+
+
+def _qds_field(field):
+    return field, lambda value: cohsim.QdsConfig(**{field: value})
+
+
+# Each real argument: (argument name, call with that argument, the others valid).
+REAL_ARGUMENTS = {
+    "poisson_tail_bound:mu": ("mu", lambda mu: cohsim.poisson_tail_bound(mu, 1.0)),
+    "poisson_tail_bound:delta": ("delta", lambda delta: cohsim.poisson_tail_bound(1.0, delta)),
+    "effective_dimension_bound:mu": ("mu", lambda mu: cohsim.effective_dimension_bound(mu, 5, 4)),
+    "solve_alpha_for_overlap:delta": ("delta", lambda delta: cohsim.solve_alpha_for_overlap(delta, 0.5)),
+    "solve_alpha_for_overlap:target_delta_alpha": (
+        "target_delta_alpha", lambda target: cohsim.solve_alpha_for_overlap(0.5, target)),
+    "check_success_condition:epsilon": (
+        "epsilon", lambda epsilon: cohsim.check_success_condition(epsilon, 1.0, [1.0], 1)),
+    "check_success_condition:mu": ("mu", lambda mu: cohsim.check_success_condition(0.1, mu, [1.0], 1)),
+    "two_block_trial_generator:p_click_0": (
+        "p_click_0", lambda p: cohsim.two_block_trial_generator(1, p, 1, 0.5)),
+    "two_block_trial_generator:p_click_1": (
+        "p_click_1", lambda p: cohsim.two_block_trial_generator(1, 0.5, 1, p)),
+    "poissonized_repetition_oracle:mu": ("mu", lambda mu: cohsim.poissonized_repetition_oracle(
+        cohsim.uniform_state(2), mu, Seed(13).rng(), 1)),
+    **{f"QdsConfig:{field}": _qds_field(field) for field in ("alpha_sq", "f", "s_a", "s_v")},
+    "QdsConfig:fraction": ("fraction", lambda fraction: cohsim.QdsConfig(
+        tamper_model="repudiation", tamper_params={"fraction": fraction})),
+    "verify_message:threshold": ("threshold", lambda threshold: cohsim.verify_message(
+        "01", np.array([1, -1], dtype=np.int8), threshold)),
+    "equality_test:f": ("f", lambda f: cohsim.equality_test(
+        cohsim.phase_encoded_state("01", 1.0), cohsim.phase_encoded_state("01", 1.0), f,
+        Seed(13).rng())),
+    "usd_measure:reference_magnitude": ("reference_magnitude", lambda beta: cohsim.usd_measure(
+        cohsim.ModeCoherentState([1.0, -1.0]), beta, Seed(13).rng())),
+}
+
+
+# check_success_condition("0.1", "3", [1.0], 1) returned a report, float() let
+# True through, and poissonized_repetition_oracle raised numpy's unnamed error on nan.
+@pytest.mark.parametrize("value", ["1", True, None])
+@pytest.mark.parametrize("function", sorted(REAL_ARGUMENTS))
+def test_reals_refuse_a_wrong_type(function, value):
+    name, call = REAL_ARGUMENTS[function]
+    with pytest.raises(TypeError, match=f"^{name} must be"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("function", sorted(REAL_ARGUMENTS))
+def test_reals_refuse_a_non_finite_value(function, value):
+    name, call = REAL_ARGUMENTS[function]
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(value)
