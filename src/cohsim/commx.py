@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import Seed, _index, _real
 from .detection import ClickPattern, click_probabilities
-from .mapping import ModeCoherentState
+from .mapping import ModeCoherentState, _poisson_deviance, _poisson_log_pmf
 
 _POISSON_BINOMIAL_CAP = 10_000
 
@@ -131,16 +131,6 @@ def _min_one_inverse(mu: float) -> float:
     return 1.0 if mu <= 1.0 else 1.0 / mu
 
 
-def _poisson_pmf(a: int, mu: float) -> float:
-    """Pr(L = a) for L ~ Poisson(mu), as exp(-mu + a ln mu - lgamma(a + 1)).
-
-    Poisson(0) is the point mass at 0, handled apart because ln 0 diverges.
-    """
-    if mu == 0.0:
-        return 1.0 if a == 0 else 0.0
-    return math.exp(-mu + a * math.log(mu) - math.lgamma(a + 1))
-
-
 def lecam_bound_check(probs, event: Iterable[int]) -> LecamCheck:
     """Check |Pr(C in A) - Pr(L in A)| <= min(1, 1/mu) * tau on an explicit event.
 
@@ -154,7 +144,7 @@ def lecam_bound_check(probs, event: Iterable[int]) -> LecamCheck:
     mu = float(probs.sum())
     tau = float((probs**2).sum())
     pr_c = float(sum(pmf[a] for a in event_set if a < pmf.size))
-    pr_l = sum(_poisson_pmf(a, mu) for a in event_set)
+    pr_l = sum(math.exp(_poisson_log_pmf(a, mu)) for a in event_set)
     lhs = abs(pr_c - pr_l)
     bound = _min_one_inverse(mu) * tau
     return LecamCheck(lhs=lhs, bound=bound, holds=bool(lhs <= bound + 1e-12))
@@ -186,9 +176,9 @@ class SuccessConditionReport:
 
 
 def _concentration_term(p_s: float, mu: float) -> float:
-    # 2 e^{-p_s mu} (2 e p_s)^{mu/2}, in log space; equals 2 at mu = 0.
-    log_term = math.log(2.0) - p_s * mu + 0.5 * mu * (math.log(2.0 * p_s) + 1.0)
-    return math.exp(log_term)
+    # 2 e^{-p_s mu} (2 e p_s)^{mu/2}: twice the Chernoff bound on Poisson(p_s mu)
+    # at mu/2, below its mean; equals 2 at mu = 0.
+    return 2.0 * math.exp(-_poisson_deviance(p_s * mu, (0.5 - p_s) * mu)) if mu > 0.0 else 2.0
 
 
 def check_success_condition(

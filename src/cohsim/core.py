@@ -7,9 +7,9 @@ through an explicit :class:`Seed`: runners name their streams with
 hand each stream's ``np.random.Generator`` to the functions that draw, in a
 fixed order, so a fixed seed reproduces bit-identical results.  A stream's
 generator is seeded by NumPy's own ``SeedSequence(master_seed, spawn_key)``.
-Scalar arguments are checked here: counts by :func:`_index`, reals by
-:func:`_real`; a wrong type raises ``TypeError`` and a non-finite or
-out-of-range value ``ValueError``, both naming the argument.
+Scalar arguments are checked by :func:`_index` (counts), :func:`_real` (reals)
+and :func:`_complex` (complex numbers): a wrong type raises ``TypeError`` and a
+non-finite or out-of-range value ``ValueError``, both naming the argument.
 """
 
 from __future__ import annotations
@@ -52,6 +52,13 @@ def _real(value, what: str) -> float:
     if not abs(value) <= sys.float_info.max:  # nan, inf and ints past the double range
         raise ValueError(f"{what} must be finite, got {value!r}")
     return float(value)
+
+
+def _complex(value, what: str) -> complex:
+    """``value`` as a finite Python complex; bools, strings and non-numbers are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise TypeError(f"{what} must be a complex number, got {value!r}")
+    return complex(_real(value.real, what), _real(value.imag, what))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PureState, _index, _real
-from .mapping import ModeCoherentState
+from .mapping import ModeCoherentState, _poisson_log_pmf, _xlog
 
 # Refuse to enumerate photon-number records beyond this many compositions.
 _MAX_ENUMERATION = 2_000_000
@@ -86,15 +86,7 @@ def photon_count_probability(c: ModeCoherentState, counts) -> float:
     if counts.dtype.kind not in "biu":  # an integer dtype holds whole counts already
         if not np.all(np.isfinite(counts) & (counts == np.floor(counts))):
             raise ValueError(f"counts must be integers, got {counts.tolist()!r}")
-    means = c.per_mode_mean_photons
-    log_p = 0.0
-    for m, n in zip(means, counts):
-        if m == 0.0:
-            if n > 0:
-                return 0.0
-            continue
-        log_p += -m + n * math.log(m) - math.lgamma(n + 1)
-    return math.exp(log_p)
+    return math.exp(sum(map(_poisson_log_pmf, counts, c.per_mode_mean_photons)))
 
 
 def _compositions(n: int, d: int):
@@ -121,18 +113,15 @@ def multinomial_oracle(s: PureState, n: int) -> dict[tuple[int, ...], float]:
         raise ValueError(
             f"enumeration of {n_records} records exceeds the cap {_MAX_ENUMERATION}"
         )
-    log_probs = [math.log(p) if p > 0.0 else -math.inf for p in np.abs(s.amplitudes) ** 2]
+    # ln of n!/(n_1!...n_d!) prod_k p_k^{n_k}, summed from ln n! in mode order.
+    probs = (np.abs(s.amplitudes) ** 2).tolist()
     log_n_fact = math.lgamma(n + 1)
-    out: dict[tuple[int, ...], float] = {}
-    for record in _compositions(n, d):
-        # log of n!/(n_1!...n_d!) prod_k p_k^{n_k}; a mode with p_k = 0 adds
-        # nothing when empty and rules the record out when it holds photons.
-        log_p = log_n_fact
-        for n_k, log_p_k in zip(record, log_probs):
-            if n_k:
-                log_p += n_k * log_p_k - math.lgamma(n_k + 1)
-        out[record] = math.exp(log_p)
-    return out
+    return {
+        record: math.exp(sum(
+            (_xlog(n_k, p_k) - math.lgamma(n_k + 1) for n_k, p_k in zip(record, probs)),
+            log_n_fact))
+        for record in _compositions(n, d)
+    }
 
 
 def poissonized_repetition_oracle(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Seed, UnitaryOp, _index
+from .core import Seed, UnitaryOp, _complex, _index
 from .detection import sample_click_pattern
 from .mapping import ModeCoherentState, beam_splitter, parse_bits, phase_encoded_state
 
@@ -35,9 +35,9 @@ class Matching:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(
-            sorted((tuple(sorted((int(i), int(j)))) for i, j in self.pairs))
-        )
+        canon = tuple(sorted(
+            tuple(sorted((_index(i, "label", 1), _index(j, "label", 1)))) for i, j in self.pairs
+        ))
         labels = [k for pair in canon for k in pair]
         n = len(labels)
         if n == 0 or n % 2 != 0:
@@ -146,7 +146,7 @@ def run_experiment(
     per experiment from the stream ``seed.child("setup")``.  All trials draw,
     one after another, from the one stream ``seed.child("trials")``.
     """
-    trials = _index(trials, "trials", 1)
+    trials, alpha = _index(trials, "trials", 1), _complex(alpha, "alpha")
     setup_rng = seed.child("setup").rng()
     if matching is None:
         matching = random_matching(n, setup_rng)
@@ -182,5 +182,5 @@ def run_experiment(
         inconclusive=inconclusive,
         x="".join(str(int(b)) for b in bits),
         matching=matching.format(),
-        alpha_sq=float(abs(complex(alpha)) ** 2),
+        alpha_sq=abs(alpha) ** 2,
     )

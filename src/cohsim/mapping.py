@@ -19,6 +19,8 @@ used to reason about such protocols:
   tail probability) in the span of Fock states with photon number within a
   window Delta of the mean; the dimension of that span grows only like a
   polynomial in d, keeping the log-dimension O(log2 d).
+* ``_xlog`` (0 ln 0 = 0), ``_poisson_log_pmf`` and ``_poisson_deviance`` (the
+  Chernoff exponent): the one home of the Poisson photon-number law.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PureState, UnitaryOp, _check_same_dim, _index, _real
+from .core import PureState, UnitaryOp, _check_same_dim, _complex, _index, _real
 
 # Amplitude transmission of a balanced beam splitter.
 _BALANCED = 1.0 / math.sqrt(2.0)
@@ -72,7 +74,7 @@ class ModeCoherentState:
 
 def map_state(s: PureState, alpha: complex) -> ModeCoherentState:
     """Translate a qubit-protocol state: mode k carries amplitude alpha*lambda_k."""
-    return ModeCoherentState(complex(alpha) * s.amplitudes)
+    return ModeCoherentState(_complex(alpha, "alpha") * s.amplitudes)
 
 
 def map_unitary_apply(u: UnitaryOp, c: ModeCoherentState) -> ModeCoherentState:
@@ -116,7 +118,7 @@ def phase_encoded_state(bits, alpha: complex) -> ModeCoherentState:
     b = parse_bits(bits)
     n = b.size
     signs = 1.0 - 2.0 * b.astype(np.float64)
-    amps = signs * (complex(alpha) / math.sqrt(n))
+    amps = signs * (_complex(alpha, "alpha") / math.sqrt(n))
     return ModeCoherentState(amps)
 
 
@@ -126,13 +128,13 @@ def overlap_coherent(delta: complex, alpha: complex) -> complex:
     Equals exp[|alpha|^2 (delta - 1)]; obtained by multiplying the per-mode
     coherent overlaps and using the normalization of both state vectors.
     A |delta| above 1 by at most 1e-10 is rounding and is scaled onto the unit
-    circle; non-finite input, and an |alpha| whose square overflows, are refused.
+    circle; an |alpha| whose square overflows is refused.
     """
-    delta, size = complex(delta), abs(complex(alpha))
-    if not abs(delta) <= 1.0 + 1e-10:  # nan fails the test too
-        raise ValueError(f"|delta| must be finite and <= 1, got {abs(delta)!r}")
+    delta, size = _complex(delta, "delta"), abs(_complex(alpha, "alpha"))
+    if not abs(delta) <= 1.0 + 1e-10:
+        raise ValueError(f"|delta| must be at most 1, got {abs(delta)!r}")
     if not size <= math.sqrt(sys.float_info.max):
-        raise ValueError(f"|alpha| must be finite with |alpha|^2 a double, got {alpha!r}")
+        raise ValueError(f"|alpha|^2 must stay within the double range, got alpha = {alpha!r}")
     return complex(np.exp(size**2 * (delta / max(1.0, abs(delta)) - 1.0)))
 
 
@@ -156,15 +158,26 @@ def transmitted_info(d: int) -> float:
     return math.log2(_index(d, "d", 1))
 
 
-def _poisson_deviance(mu: float, delta: float) -> float:
-    """(mu + delta) ln(1 + delta/mu) - delta, for mu > 0 and delta > 0.
+def _xlog(k, m: float) -> float:
+    """k ln m, with 0 ln 0 = 0: k > 0 events at rate m = 0 have log-weight -inf."""
+    return k * math.log(m) if m > 0.0 else (-math.inf if k else 0.0)
 
-    Where delta is small against mu the two terms nearly cancel, so there the
-    value is summed as a series of positive terms in v = delta / (2 mu + delta)
-    (Loader's bd0): delta [v + (1 + v) sum_{j>=1} v^{2j} / (2j + 1)].
+
+def _poisson_log_pmf(k, mu: float) -> float:
+    """ln Pr(N = k) for N ~ Poisson(mu), mu >= 0; Poisson(0) is the point mass at 0."""
+    return -mu + _xlog(k, mu) - math.lgamma(k + 1)
+
+
+def _poisson_deviance(mu: float, delta: float) -> float:
+    """(mu + delta) ln(1 + delta/mu) - delta, for mu > 0 and delta > -mu.
+
+    This is the Chernoff exponent of Poisson(mu) at mu + delta.  Where delta
+    is small against mu the two terms nearly cancel, so there the value is
+    summed as a series in v = delta / (2 mu + delta) (Loader's bd0):
+    delta [v + (1 + v) sum_{j>=1} v^{2j} / (2j + 1)].
     """
     v = 1.0 / (1.0 + 2.0 * (mu / delta))
-    if v >= 0.1:
+    if abs(v) >= 0.1:
         return (mu + delta) * math.log1p(delta / mu) - delta
     total, power, j = 0.0, 1.0, 1
     while True:

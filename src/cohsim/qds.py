@@ -283,10 +283,10 @@ class QdsConfig:
     message_bit: int = 0
 
     def __post_init__(self) -> None:
-        _index(self.n, "n", 1)
-        _index(self.message_bit, "message_bit")
+        object.__setattr__(self, "n", _index(self.n, "n", 1))
+        object.__setattr__(self, "message_bit", _index(self.message_bit, "message_bit"))
         for name in ("alpha_sq", "f", "s_a", "s_v"):
-            _real(getattr(self, name), name)
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not isinstance(self.tamper_params, dict):
             raise TypeError(f"tamper_params must be an object, got {self.tamper_params!r}")
         if self.alpha_sq <= 0.0:

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from cohsim import (
     uniform_state,
 )
 from cohsim import commx
-from cohsim.commx import _poisson_pmf
+from cohsim.commx import _concentration_term
 from cohsim.mapping import ModeCoherentState
 
 
@@ -179,16 +180,6 @@ def test_lecam_bound_zero_probabilities():
     assert check.holds
 
 
-def test_poisson_pmf_closed_form_matches_scipy():
-    for mu in (1e-3, 0.05, 0.5, 1.0, 3.7, 12.0, 40.0):
-        for a in range(60):
-            assert _poisson_pmf(a, mu) == pytest.approx(poisson.pmf(a, mu), rel=1e-12)
-    # Poisson(0) is the point mass at 0
-    assert _poisson_pmf(0, 0.0) == 1.0
-    assert _poisson_pmf(3, 0.0) == 0.0
-    assert lecam_bound_check([0.0, 0.0], {0}).lhs == 0.0
-
-
 def test_lecam_bound_event_beyond_support():
     # Poisson has mass above n, the Poisson-binomial does not
     check = lecam_bound_check([0.3, 0.3], {5, 6, 7})
@@ -273,6 +264,28 @@ def test_condition_degenerate_empty_set_uses_unit_factor():
     assert report.lhs == pytest.approx(
         2 * math.exp(-1.0) * math.sqrt(2 * math.e) + tau, rel=1e-12
     )
+
+
+def _sixty_digit_concentration_term(p_s, mu):
+    """2 e^{-p_s mu} (2 e p_s)^{mu/2} from its log, to 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p, m = decimal.Decimal(p_s), decimal.Decimal(mu)
+        return float((decimal.Decimal(2).ln() - p * m + m / 2 * ((2 * p).ln() + 1)).exp())
+
+
+# ln 2 - p_s mu + (mu/2)(ln 2 p_s + 1) cancels near p_s = 1/2: at mu = 1e9 it
+# was off by 1.4e-8 relative at p_s = 0.5001 (the reference is 9.092098857011577e-05)
+# and by 7.3e-8 at p_s = 0.500001.  The mean p_s mu lies above mu/2, so the term
+# bounds the lower tail; the upper-tail exponent would give 9.1042e-05 at 0.5001.
+@pytest.mark.parametrize(
+    "p_s, mu",
+    [(0.5001, 1e9), (0.500001, 1e9), (0.5 + 2**-40, 1e12), (0.75, 2.0), (0.9, 50.0),
+     (0.95, 60.0), (1.0, 1.0), (1.0, 40.0), (0.9, 0.0)],
+)
+def test_concentration_term_matches_a_sixty_digit_evaluation(p_s, mu):
+    expected = _sixty_digit_concentration_term(p_s, mu)
+    assert _concentration_term(p_s, mu) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_condition_validates_inputs():

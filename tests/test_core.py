@@ -376,3 +376,41 @@ def test_reals_refuse_a_non_finite_value(function, value):
     name, call = REAL_ARGUMENTS[function]
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         call(value)
+
+
+# Each complex argument: (argument name, call with that argument, the others valid).
+COMPLEX_ARGUMENTS = {
+    "map_state:alpha": ("alpha", lambda alpha: cohsim.map_state(cohsim.uniform_state(2), alpha)),
+    "phase_encoded_state:alpha": ("alpha", lambda alpha: cohsim.phase_encoded_state("01", alpha)),
+    "run_experiment:alpha": ("alpha", lambda alpha: cohsim.run_experiment(
+        2, None, None, alpha, 1, Seed(13))),
+    "overlap_coherent:delta": ("delta", lambda delta: cohsim.overlap_coherent(delta, 1.0)),
+    "overlap_coherent:alpha": ("alpha", lambda alpha: cohsim.overlap_coherent(0.5, alpha)),
+}
+
+
+# complex() parses strings: overlap_coherent("0.5", 1.0) returned 0.607 and
+# phase_encoded_state("01", "2") built a state with amplitudes +-1.414.
+@pytest.mark.parametrize("value", ["1", True, None, [1.0]])
+@pytest.mark.parametrize("function", sorted(COMPLEX_ARGUMENTS))
+def test_complex_arguments_refuse_a_wrong_type(function, value):
+    name, call = COMPLEX_ARGUMENTS[function]
+    with pytest.raises(TypeError, match=f"^{name} must be a complex number"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(math.inf, 0.5)]
+)
+@pytest.mark.parametrize("function", sorted(COMPLEX_ARGUMENTS))
+def test_complex_arguments_refuse_a_non_finite_value(function, value):
+    name, call = COMPLEX_ARGUMENTS[function]
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [1, 0.5, 0.5 - 0.5j, np.float64(0.5), np.complex128(0.5j)])
+@pytest.mark.parametrize("function", sorted(COMPLEX_ARGUMENTS))
+def test_complex_arguments_accept_any_finite_number(function, value):
+    _, call = COMPLEX_ARGUMENTS[function]
+    call(value)

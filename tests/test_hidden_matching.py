@@ -40,6 +40,18 @@ def test_matching_validation():
         Matching(())
 
 
+# int() once truncated both onto the matching 1-2.
+@pytest.mark.parametrize("pairs", [((1.7, 2.2),), ((True, 2.9),)])
+def test_matching_labels_must_be_integers(pairs):
+    with pytest.raises(TypeError, match="^label must be an integer"):
+        Matching(pairs)
+
+
+def test_matching_takes_numpy_integer_labels():
+    m = Matching(((np.int64(2), np.int32(1)),))
+    assert m.pairs == ((1, 2),) and type(m.pairs[0][0]) is int
+
+
 def test_matching_canonical_order():
     m = Matching(((5, 2), (6, 1), (4, 3)))
     assert m.pairs == ((1, 6), (2, 5), (3, 4))

@@ -32,6 +32,7 @@ from cohsim import (
     uniform_state,
 )
 from cohsim.hidden_matching import Matching, bob_unitary
+from cohsim.mapping import _poisson_deviance, _poisson_log_pmf
 
 
 def pairwise_coherent_overlap(beta: complex, gamma: complex) -> complex:
@@ -339,6 +340,37 @@ def test_poisson_tail_bound_refuses_infinite_input(mu, delta, name):
     # delta = inf returned nan
     with pytest.raises(ValueError, match=name):
         poisson_tail_bound(mu, delta)
+
+
+def test_poisson_log_pmf_closed_form_matches_scipy():
+    for mu in (1e-3, 0.05, 0.5, 1.0, 3.7, 12.0, 40.0):
+        for a in range(60):
+            assert math.exp(_poisson_log_pmf(a, mu)) == pytest.approx(poisson.pmf(a, mu), rel=1e-12)
+    # Poisson(0) is the point mass at 0
+    assert math.exp(_poisson_log_pmf(0, 0.0)) == 1.0
+    assert _poisson_log_pmf(3, 0.0) == -math.inf
+    assert cohsim.lecam_bound_check([0.0, 0.0], {0}).lhs == 0.0
+
+
+@given(st.data())
+def test_poisson_log_pmf_matches_scipy_within_ten_sigma(data):
+    mu = data.draw(st.just(0.0) | st.floats(0.0, 1e5), label="mu")
+    half = 10.0 * math.sqrt(mu)
+    k = data.draw(st.integers(max(0, math.ceil(mu - half)), math.floor(mu + half)), label="k")
+    expected = poisson.pmf(k, mu)
+    assert abs(math.exp(_poisson_log_pmf(k, mu)) - expected) <= 1e-9 * expected
+
+
+@pytest.mark.parametrize("mu", [1e-3, 0.7, 37.5, 1e3, 1e9, 1e15])
+def test_poisson_deviance_matches_a_sixty_digit_evaluation(mu):
+    # Both sides of the mean: the lower tail is the bounded-error concentration term.
+    ratios = (-0.999, -0.5, -0.1, -0.0999, -1e-2, -1e-8, 1e-8, 1e-2, 0.0999, 0.1, 0.5, 1.0, 3.0)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for delta in (ratio * mu for ratio in ratios):
+            m, d = decimal.Decimal(mu), decimal.Decimal(delta)
+            expected = float((m + d) * ((m + d) / m).ln() - d)
+            assert _poisson_deviance(mu, delta) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def exact_poisson_tail(mu: float, delta: float) -> float:

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import math
 import warnings
 
@@ -524,6 +525,22 @@ def test_config_rejects_stray_tamper_params(model, params, key):
 def test_config_accepts_integer_valued_reals():
     config = QdsConfig.from_dict({"n": 8, "alpha_sq": 9, "s_a": 0, "tamper_params": {}})
     assert config.alpha_sq == 9 and config.s_a == 0
+
+
+def test_config_keeps_the_values_it_checked():
+    # "alpha_sq": 9 was echoed as 9 and 9.0 as 9.0, so one run printed two ways.
+    spelled = [QdsConfig(n=8, alpha_sq=9, s_a=0), QdsConfig(n=8, alpha_sq=9.0, s_a=0.0)]
+    for config in spelled:
+        assert type(config.alpha_sq) is float and type(config.s_a) is float
+    records = [json.dumps([r.data for r in run_qds(c, Seed(7)).records]) for c in spelled]
+    assert records[0] == records[1] and '"alpha_sq": 9.0' in records[0]
+
+
+def test_config_with_numpy_counts_gives_a_json_transcript():
+    # n = np.int64(16) was kept as given, and json.dumps refused the keygen record.
+    config = QdsConfig(n=np.int64(16), message_bit=np.int64(1))
+    assert type(config.n) is int and type(config.message_bit) is int
+    assert json.dumps(run_qds(config, Seed(1)).records[0].data) == '{"n": 16}'
 
 
 def _reference_run(config, seed):
