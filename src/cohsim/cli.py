@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from . import commx, mapping, qds
-from .core import Seed, _index
+from . import commx, detection, mapping, qds
+from .core import Seed, _index, _real
 from .hidden_matching import Matching, run_experiment
 
 
@@ -65,14 +65,12 @@ def _parse_list(text: str, flag: str, kind=float) -> list:
         raise ValueError(f"bad {flag} list {text!r}: {exc}") from exc
     if not values:
         raise ValueError(f"{flag} list is empty")
-    if kind is float and not all(map(math.isfinite, values)):
-        raise ValueError(f"{flag} values must be finite, got {text!r}")
-    return values
+    return [_real(x, flag) for x in values] if kind is float else values
 
 
 def _check_non_negative(value: float, flag: str) -> float:
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{flag} must be finite and non-negative, got {value!r}")
+    if (value := _real(value, flag)) < 0.0:
+        raise ValueError(f"{flag} must be non-negative, got {value!r}")
     return value
 
 
@@ -168,11 +166,7 @@ _CONDITION_INSTANCES = [
 
 
 def _uniform_block_probs(p_s: float, d0: int, d1: int) -> np.ndarray:
-    probs = np.empty(d0 + d1)
-    probs[:d0] = p_s / d0
-    if d1:
-        probs[d0:] = (1.0 - p_s) / d1
-    return probs
+    return np.repeat([p_s / d0, (1.0 - p_s) / max(d1, 1)], [d0, d1])
 
 
 def _cmd_thm_check(args):
@@ -210,15 +204,13 @@ def _cmd_thm_check(args):
     for i, (p_s, eps, mu, d0, d1) in enumerate(_CONDITION_INSTANCES):
         probs = _uniform_block_probs(p_s, d0, d1)
         report = commx.check_success_condition(eps, mu, probs, d0)
-        p_hat = ""
-        ci95 = ""
+        p_hat = ci95 = ""
         if report.holds:
             # With d1 = 0 the last mode is in S_0; Binomial(0, p) is 0 for any p.
-            click = -np.expm1(-mu * probs)
+            click = detection._click_probability(mu * probs)
             sampler = commx.two_block_trial_generator(d0, float(click[0]), d1, float(click[-1]))
             mc = commx.estimate_success_probability(sampler, args.trials, seed.child("mc", i))
-            p_hat = mc.p_hat
-            ci95 = mc.ci95
+            p_hat, ci95 = mc.p_hat, mc.ci95
         rows.append(
             [
                 "success-condition", i, mu, report.lhs, eps, report.holds,

@@ -28,8 +28,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import Seed, _index, _real
-from .detection import ClickPattern, click_probabilities
+from .core import Seed, _index, _real, _vector
+from .detection import ClickPattern, _click_probability, click_probabilities
 from .mapping import ModeCoherentState, _poisson_deviance, _poisson_log_pmf
 
 _POISSON_BINOMIAL_CAP = 10_000
@@ -106,13 +106,11 @@ def poisson_binomial_exact(probs) -> np.ndarray:
     One convolution with the Bernoulli pmf (1 - p, p) per probability,
     O(n^2); index k of the result is Pr(sum = k).
     """
-    probs = np.atleast_1d(np.asarray(probs, dtype=np.float64))
-    if probs.ndim != 1:
-        raise ValueError("probs must be a vector")
+    probs = _vector(probs, "probs")
     if not np.all((probs >= 0.0) & (probs <= 1.0)):  # nan fails the test too
-        raise ValueError("probabilities must lie in [0, 1]")
+        raise ValueError("probs must lie in [0, 1]")
     if probs.size > _POISSON_BINOMIAL_CAP:
-        raise ValueError(f"size {probs.size} exceeds cap {_POISSON_BINOMIAL_CAP}")
+        raise ValueError(f"probs must have at most {_POISSON_BINOMIAL_CAP} entries, got {probs.size}")
     pmf = np.array([1.0])
     for p in probs:
         pmf = np.convolve(pmf, (1.0 - p, p))
@@ -138,7 +136,7 @@ def lecam_bound_check(probs, event: Iterable[int]) -> LecamCheck:
     Poisson with the same mean mu = sum p_k, and tau = sum p_k^2.  Both sides
     are exact pmf sums.
     """
-    probs = np.atleast_1d(np.asarray(probs, dtype=np.float64))
+    probs = _vector(probs, "probs")
     event_set = {_index(a, "event") for a in event}
     pmf = poisson_binomial_exact(probs)
     mu = float(probs.sum())
@@ -209,15 +207,16 @@ def check_success_condition(
     if mu < 0.0:
         raise ValueError(f"mu must be non-negative, got {mu!r}")
 
-    probs_qubit = np.atleast_1d(np.asarray(probs_qubit, dtype=np.float64))
-    if not (np.all(probs_qubit >= 0.0) and abs(probs_qubit.sum() - 1.0) <= 1e-9):
+    probs_qubit = _vector(probs_qubit, "probs_qubit")
+    # Entries in [0, 1] first, so that the sum cannot overflow.
+    if not (np.all((probs_qubit >= 0.0) & (probs_qubit <= 1.0)) and abs(probs_qubit.sum() - 1.0) <= 1e-9):
         raise ValueError("probs_qubit must be non-negative and sum to 1")
     d0 = _check_d0(d0, probs_qubit.size)
     p_s = min(1.0, float(probs_qubit[:d0].sum()))
     if not p_s > 0.5:
         raise ValueError(f"the S_0 mass p_s = {p_s!r} must lie in (1/2, 1]")
 
-    stats = _count_stats(-np.expm1(-mu * probs_qubit), d0)
+    stats = _count_stats(_click_probability(mu * probs_qubit), d0)
     approx_term = max(_min_one_inverse(stats.mu0), _min_one_inverse(stats.mu1)) * stats.tau
     lhs = _concentration_term(p_s, mu) + approx_term
     return SuccessConditionReport(mu=mu, p_s=p_s, epsilon=epsilon, lhs=lhs, stats=stats)

@@ -7,9 +7,9 @@ through an explicit :class:`Seed`: runners name their streams with
 hand each stream's ``np.random.Generator`` to the functions that draw, in a
 fixed order, so a fixed seed reproduces bit-identical results.  A stream's
 generator is seeded by NumPy's own ``SeedSequence(master_seed, spawn_key)``.
-Scalar arguments are checked by :func:`_index` (counts), :func:`_real` (reals)
-and :func:`_complex` (complex numbers): a wrong type raises ``TypeError`` and a
-non-finite or out-of-range value ``ValueError``, both naming the argument.
+Arguments are checked by :func:`_index` (counts), :func:`_real` (reals), :func:`_complex`
+(complex numbers) and :func:`_vector` (a new array of numbers, never parsed from strings):
+a wrong type raises ``TypeError``, a wrong shape or value ``ValueError``, both naming it.
 """
 
 from __future__ import annotations
@@ -61,6 +61,36 @@ def _complex(value, what: str) -> complex:
     return complex(_real(value.real, what), _real(value.imag, what))
 
 
+def _vector(values, what: str, dtype=np.float64, ndim: int = 1) -> np.ndarray:
+    """``values`` as a new non-empty ``dtype`` array with ``ndim`` axes; entries must be numbers.
+
+    Bools pass only as bits, into a bool ``dtype`` where every entry must be 0
+    or 1; complex entries only into a complex one.  Domain checks are the caller's.
+    """
+    if type(values) is np.ndarray and values.dtype == dtype and values.ndim == ndim and values.size:
+        return values.copy()  # the common case, without the element checks
+    shape, kind = ("vector", "matrix")[ndim - 1], np.dtype(dtype).kind
+    try:
+        arr = np.asarray(values)
+        arr = np.asarray(arr.tolist()) if arr.dtype == object else arr  # None stays an object
+    except ValueError:  # ragged nesting
+        raise ValueError(f"{what} must be a non-empty {shape}, got rows of unequal length") from None
+    if arr.dtype.kind not in {"b": "biuf", "f": "iuf", "c": "iufc"}[kind]:
+        noun = {"b": "bools or 0/1 numbers", "f": "real numbers", "c": "numbers"}[kind]
+        raise TypeError(f"{what} must hold {noun}, got {arr.dtype} entries")
+    if arr.ndim != ndim or arr.size < 1:
+        raise ValueError(f"{what} must be a non-empty {shape}, got shape {arr.shape}")
+    if kind == "b" and not np.all((arr == 0) | (arr == 1)):
+        raise ValueError(f"{what} must be 0 or 1 in every entry")
+    return arr.astype(dtype)
+
+
+def _power(amps: np.ndarray) -> float:
+    """sum |a_k|^2; inf, not an overflow warning, past the double range."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(amps) ** 2))
+
+
 @dataclass(frozen=True)
 class Seed:
     """Root of all randomness: a master seed and a path of named keys.
@@ -106,15 +136,6 @@ def _spawn_key(path: tuple[str | int, ...]) -> tuple[int, ...]:
     return tuple(words)
 
 
-def _as_complex_vector(values, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=np.complex128))
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a one-dimensional vector")
-    if arr.size < 1:
-        raise ValueError(f"{name} must have at least one entry")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector of complex amplitudes over a canonical basis of dimension d."""
@@ -122,10 +143,9 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = _as_complex_vector(self.amplitudes, "amplitudes")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
+        amps = _vector(self.amplitudes, "amplitudes", np.complex128)
+        if not abs((norm_sq := _power(amps)) - 1.0) <= NORM_TOL:
+            raise ValueError(f"amplitudes must have unit norm, got sum |amp|^2 = {norm_sq!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -141,12 +161,13 @@ class UnitaryOp:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
-            raise ValueError("matrix must be square and non-empty")
-        deviation = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-        if deviation > NORM_TOL:
-            raise ValueError(f"matrix is not unitary: max |U^H U - I| = {deviation!r}")
+        mat = _vector(self.matrix, "matrix", np.complex128, ndim=2)
+        if mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {mat.shape}")
+        with np.errstate(all="ignore"):  # nan, inf or an overflow leave the deviation non-finite
+            deviation = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
+        if not deviation <= NORM_TOL:
+            raise ValueError(f"matrix must be unitary, got max |U^H U - I| = {deviation!r}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -157,11 +178,10 @@ class UnitaryOp:
 
 def normalized(amplitudes) -> PureState:
     """Build a PureState from an arbitrary non-zero amplitude vector."""
-    arr = _as_complex_vector(amplitudes, "amplitudes")
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return PureState(arr / norm)
+    arr = _vector(amplitudes, "amplitudes", np.complex128)
+    if not 0.0 < (power := _power(arr)) < np.inf:
+        raise ValueError(f"amplitudes must have a finite, non-zero norm, got sum |amp|^2 = {power!r}")
+    return PureState(arr / np.sqrt(power))
 
 
 def basis_state(d: int, k: int) -> PureState:

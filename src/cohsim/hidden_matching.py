@@ -83,7 +83,6 @@ def _ports(m: Matching, amps) -> np.ndarray:
     Ports are in :func:`bob_unitary` order.  On a mode-amplitude vector this
     is O(n), and the wrong-parity port of every pair comes out exactly 0.0.
     """
-    amps = np.asarray(amps)
     i, j = (np.asarray(m.pairs) - 1).T
     out = np.empty(amps.shape, dtype=np.complex128)
     out[0::2], out[1::2] = beam_splitter(amps[i], amps[j])

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PureState, UnitaryOp, _check_same_dim, _complex, _index, _real
+from .core import PureState, UnitaryOp, _check_same_dim, _complex, _index, _power, _real, _vector
 
 # Amplitude transmission of a balanced beam splitter.
 _BALANCED = 1.0 / math.sqrt(2.0)
@@ -48,12 +48,8 @@ class ModeCoherentState:
     mode_amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.atleast_1d(np.asarray(self.mode_amplitudes, dtype=np.complex128))
-        if amps.ndim != 1 or amps.size < 1:
-            raise ValueError("mode_amplitudes must be a non-empty vector")
-        with np.errstate(over="ignore"):  # an overflowing power is refused below
-            power = float(np.sum(np.abs(amps) ** 2))
-        if not math.isfinite(power):
+        amps = _vector(self.mode_amplitudes, "mode_amplitudes", np.complex128)
+        if not math.isfinite(power := _power(amps)):
             raise ValueError(f"mode power {power!r} must be finite")
         amps.setflags(write=False)
         object.__setattr__(self, "mode_amplitudes", amps)
@@ -97,15 +93,12 @@ def beam_splitter(u, w):
 
 
 def parse_bits(bits) -> np.ndarray:
-    """Normalize a bit string ('0110'), list, or array into a uint8 array."""
+    """Normalize a bit string ('0110') or a vector of 0/1 numbers or bools into a uint8 array."""
     if isinstance(bits, str):
         if not bits or any(ch not in "01" for ch in bits):
             raise ValueError(f"bit string must be non-empty over {{0,1}}: {bits!r}")
         return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-    arr = np.atleast_1d(np.asarray(bits))
-    if arr.size < 1 or not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("bits must be a non-empty sequence of 0/1 values")
-    return arr.astype(np.uint8)
+    return _vector(bits, "bits", bool).view(np.uint8)
 
 
 def phase_encoded_state(bits, alpha: complex) -> ModeCoherentState:
@@ -115,11 +108,8 @@ def phase_encoded_state(bits, alpha: complex) -> ModeCoherentState:
     (1/sqrt(n)) sum_i (-1)^{bits_i} |i>, used both by the hidden-matching
     sender and as the signature-key encoding.
     """
-    b = parse_bits(bits)
-    n = b.size
-    signs = 1.0 - 2.0 * b.astype(np.float64)
-    amps = signs * (_complex(alpha, "alpha") / math.sqrt(n))
-    return ModeCoherentState(amps)
+    signs = 1.0 - 2.0 * parse_bits(bits).astype(np.float64)
+    return ModeCoherentState(signs * (_complex(alpha, "alpha") / math.sqrt(signs.size)))
 
 
 def overlap_coherent(delta: complex, alpha: complex) -> complex:

@@ -43,7 +43,8 @@ from typing import Any
 
 import numpy as np
 
-from .core import Seed, _index, _real
+from .core import Seed, _index, _real, _vector
+from .detection import _click_probability
 # phase_encoded_state is unused here; perfbench/spans.py PATCHES resolves it as cohsim.qds's.
 from .mapping import ModeCoherentState, beam_splitter, parse_bits, phase_encoded_state
 
@@ -194,8 +195,8 @@ def equality_test(
 
 
 def _click_probabilities(u, w) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold-detector click probabilities 1 - e^{-|a|^2} at the EQ and NEQ ports."""
-    return tuple(-np.expm1(-np.abs(port) ** 2) for port in beam_splitter(u, w))
+    """Threshold-detector click probabilities at the EQ and NEQ ports."""
+    return tuple(_click_probability(np.abs(port) ** 2) for port in beam_splitter(u, w))
 
 
 def _equality_law(u, w) -> np.ndarray:
@@ -246,8 +247,8 @@ def verify_message(revealed_key, signs, threshold: float) -> VerificationVerdict
     """
     threshold = _real(threshold, "threshold")
     key = parse_bits(revealed_key)
-    signs = np.asarray(signs)
-    if signs.ndim != 1 or not np.all((signs == -1) | (signs == 0) | (signs == 1)):
+    signs = _vector(signs, "signs")
+    if not np.all((signs == -1) | (signs == 0) | (signs == 1)):
         raise ValueError("signs must be a vector over {-1, 0, 1}")
     if key.size != signs.size:
         raise ValueError("revealed key length does not match the signs")

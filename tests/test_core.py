@@ -1,8 +1,12 @@
+import dataclasses
+import inspect
 import math
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cohsim
 from cohsim import (
@@ -414,3 +418,176 @@ def test_complex_arguments_refuse_a_non_finite_value(function, value):
 def test_complex_arguments_accept_any_finite_number(function, value):
     _, call = COMPLEX_ARGUMENTS[function]
     call(value)
+
+
+# Each vector argument: (argument name, call with that argument, the others valid).
+# A vector of bools is refused everywhere but in BIT_VECTORS.
+VECTOR_ARGUMENTS = {
+    "PureState:amplitudes": ("amplitudes", cohsim.PureState),
+    "normalized:amplitudes": ("amplitudes", cohsim.normalized),
+    "UnitaryOp:matrix": ("matrix", cohsim.UnitaryOp),
+    "ModeCoherentState:mode_amplitudes": ("mode_amplitudes", cohsim.ModeCoherentState),
+    "parse_bits:bits": ("bits", cohsim.parse_bits),
+    "phase_encoded_state:bits": ("bits", lambda v: cohsim.phase_encoded_state(v, 1.0)),
+    "ClickPattern:clicks": ("clicks", cohsim.ClickPattern),
+    "photon_count_probability:counts": ("counts", lambda v: cohsim.photon_count_probability(
+        cohsim.ModeCoherentState([1.0, 0.5]), v)),
+    "poisson_binomial_exact:probs": ("probs", cohsim.poisson_binomial_exact),
+    "lecam_bound_check:probs": ("probs", lambda v: cohsim.lecam_bound_check(v, {0})),
+    "check_success_condition:probs_qubit": (
+        "probs_qubit", lambda v: cohsim.check_success_condition(0.1, 60.0, v, 1)),
+    "verify_message:signs": ("signs", lambda v: cohsim.verify_message("01", v, 0.5)),
+}
+BIT_VECTORS = {"parse_bits:bits", "phase_encoded_state:bits", "ClickPattern:clicks"}
+MATRICES = {"UnitaryOp:matrix"}  # two axes; every other argument is a vector
+_NOT_NUMBERS = [["1", "0"], None, [None, 1.0], np.array(["1", "0"]), np.array([1.0, None])]
+
+
+@pytest.mark.parametrize(
+    "function, value",
+    [(f, v) for f in sorted(VECTOR_ARGUMENTS) for v in _NOT_NUMBERS + ["10"] * (f not in BIT_VECTORS)],
+)
+def test_vectors_refuse_entries_that_are_not_numbers(function, value):
+    # A whole string is a TypeError too, except where it is a bit string.
+    name, call = VECTOR_ARGUMENTS[function]
+    with pytest.raises(TypeError, match=f"^{name} must"):
+        call([value] if function in MATRICES and isinstance(value, list) else value)
+
+
+@pytest.mark.parametrize("function", sorted(set(VECTOR_ARGUMENTS) - BIT_VECTORS))
+def test_vectors_of_numbers_refuse_bools(function):
+    name, call = VECTOR_ARGUMENTS[function]
+    value = np.array([True, False])
+    with pytest.raises(TypeError, match=f"^{name} must"):
+        call([value, value] if function in MATRICES else value)
+
+
+@pytest.mark.parametrize("shape", ["0-d", "one axis too many", "empty"])
+@pytest.mark.parametrize("function", sorted(VECTOR_ARGUMENTS))
+def test_vectors_refuse_a_wrong_shape(function, shape):
+    name, call = VECTOR_ARGUMENTS[function]
+    ndim = 2 if function in MATRICES else 1
+    value = {"0-d": np.float64(1.0), "one axis too many": np.ones((1,) * (ndim + 1)),
+             "empty": np.ones((1,) * (ndim - 1) + (0,))}[shape]
+    with pytest.raises(ValueError, match=f"^{name} must be a non-empty"):
+        call(value)
+
+
+@pytest.mark.parametrize("function", sorted(VECTOR_ARGUMENTS))
+def test_vectors_refuse_ragged_rows(function):
+    name, call = VECTOR_ARGUMENTS[function]
+    with pytest.raises(ValueError, match=f"^{name} must be a non-empty"):
+        call([[1.0], [0.0, 1.0]])
+
+
+def test_bit_vectors_take_bools_and_whole_numbers():
+    np.testing.assert_array_equal(cohsim.ClickPattern([True, 0, 1.0]).clicks, [True, False, True])
+    np.testing.assert_array_equal(cohsim.parse_bits(np.array([True, False])), [1, 0])
+
+
+_STATE = cohsim.ModeCoherentState([1.0, 0.5])
+
+# Each call that got through, or failed in numpy's own terms, before vectors
+# had one policy: (call, the error it raises now, the argument that error names).
+VECTOR_REGRESSIONS = {
+    "condition-str": (lambda: cohsim.check_success_condition(0.1, 60.0, "1", 1), TypeError, "probs_qubit"),
+    "lecam-str": (lambda: cohsim.lecam_bound_check("0.1", {0}), TypeError, "probs"),
+    "state-str": (lambda: cohsim.PureState(["1"]), TypeError, "amplitudes"),
+    "mode-state-str": (lambda: cohsim.ModeCoherentState(["1", "2"]), TypeError, "mode_amplitudes"),
+    "unitary-str": (lambda: cohsim.UnitaryOp([["1"]]), TypeError, "matrix"),
+    "condition-2d": (lambda: cohsim.check_success_condition(0.1, 60.0, [[0.5, 0.5], [0, 0]], 1),
+                     ValueError, "probs_qubit"),
+    "bits-2d": (lambda: cohsim.parse_bits([[0, 1], [1, 0]]), ValueError, "bits"),
+    "mode-state-bool": (lambda: cohsim.ModeCoherentState([True, False]), TypeError, "mode_amplitudes"),
+    "pmf-bool": (lambda: cohsim.poisson_binomial_exact([True, False]), TypeError, "probs"),
+    "counts-bool": (lambda: cohsim.photon_count_probability(_STATE, [True, False]), TypeError, "counts"),
+    "state-nan": (lambda: cohsim.PureState([math.nan, 1.0]), ValueError, "amplitudes"),
+    "unitary-nan": (lambda: cohsim.UnitaryOp([[math.nan]]), ValueError, "matrix"),
+    "unitary-overflow": (lambda: cohsim.UnitaryOp([[1e200, 0.0], [0.0, 1.0]]), ValueError, "matrix"),
+    "normalized-inf": (lambda: cohsim.normalized([math.inf, 1.0]), ValueError, "amplitudes"),
+    "clicks-str": (lambda: cohsim.ClickPattern(["0", "1"]), TypeError, "clicks"),
+    "clicks-half": (lambda: cohsim.ClickPattern([0.5, 0.0]), ValueError, "clicks"),
+    "clicks-two": (lambda: cohsim.ClickPattern([2, 0]), ValueError, "clicks"),
+    "counts-2d": (lambda: cohsim.photon_count_probability(_STATE, [[1], [0]]), ValueError, "counts"),
+    "counts-str": (lambda: cohsim.photon_count_probability(_STATE, ["1", "0"]), TypeError, "counts"),
+    # k ln m overflowed, then lgamma raised a bare OverflowError.
+    "counts-past-double": (lambda: cohsim.photon_count_probability(
+        cohsim.ModeCoherentState([1e150]), [1e308]), ValueError, "counts"),
+    "counts-past-2**53": (lambda: cohsim.photon_count_probability(
+        cohsim.ModeCoherentState([1.0]), [2**53 + 2]), ValueError, "counts"),
+    # Entries past 1 are refused before the sum, which would overflow here.
+    "condition-overflowing-sum": (lambda: cohsim.check_success_condition(0.1, 60.0, [1e308, 1e308], 1),
+                                  ValueError, "probs_qubit"),
+    # Both raised ValueError from the 0/1 test when no entry was a number.
+    "bits-str-array": (lambda: cohsim.parse_bits(np.array(["0", "1"])), TypeError, "bits"),
+    "bits-none-object-array": (lambda: cohsim.parse_bits(np.array([None, 1], dtype=object)), TypeError, "bits"),
+}
+
+
+@pytest.mark.parametrize("case", list(VECTOR_REGRESSIONS))
+def test_vector_regressions(case):
+    call, error, name = VECTOR_REGRESSIONS[case]
+    with pytest.raises(error, match=f"^{name} must"):
+        call()
+
+
+def test_counts_up_to_two_to_the_53_are_priced():
+    assert cohsim.photon_count_probability(cohsim.ModeCoherentState([1.0]), [2**53]) == 0.0
+    assert cohsim.photon_count_probability(cohsim.ModeCoherentState([1.0]), (2.0,)) == pytest.approx(
+        math.exp(-1.0) / 2)
+
+
+def test_poisson_binomial_of_no_probabilities_is_refused():
+    # The empty vector had the pmf [1.0]; every vector argument now needs an entry.
+    with pytest.raises(ValueError, match="^probs must be a non-empty vector"):
+        cohsim.poisson_binomial_exact([])
+
+
+@pytest.mark.parametrize(
+    "build, value",
+    [(cohsim.PureState, [1.0, 0.0j]), (cohsim.ModeCoherentState, [1.0, 0.5j]),
+     (cohsim.ClickPattern, [True, False])],
+)
+def test_the_callers_array_stays_writable_and_the_value_unchanged(build, value):
+    a = np.array(value)
+    built = build(a)
+    a[0] = a[1]
+    (stored,) = (getattr(built, f.name) for f in dataclasses.fields(built))
+    np.testing.assert_array_equal(stored, value)
+    assert not stored.flags.writeable
+
+
+def _finite(result) -> bool:
+    if dataclasses.is_dataclass(result):
+        return all(_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
+    return bool(np.all(np.isfinite(result)))
+
+
+@settings(max_examples=60)
+@given(values=st.lists(
+    st.one_of(st.floats(), st.integers(), st.booleans(), st.text(max_size=2), st.none()), max_size=4
+))
+def test_any_list_is_refused_by_name_or_gives_a_finite_result(values):
+    # Refused means TypeError or ValueError of cohsim's own: numpy's UFuncTypeError
+    # is a TypeError too, so the exception's module is checked as well.
+    for function in sorted(VECTOR_ARGUMENTS):
+        _, call = VECTOR_ARGUMENTS[function]
+        try:
+            result = call([values] if function in MATRICES else values)
+        except (TypeError, ValueError) as exc:
+            assert type(exc).__module__ == "builtins", (function, exc)
+        else:
+            assert _finite(result), (function, values, result)
+
+
+def test_every_public_vector_argument_has_a_row():
+    names = {"amplitudes", "mode_amplitudes", "matrix", "probs", "probs_qubit", "counts", "bits",
+             "clicks", "signs"}
+    found = {
+        f"{public}:{parameter}"
+        for public, value in ((name, getattr(cohsim, name)) for name in cohsim.__all__)
+        if inspect.isfunction(value) or dataclasses.is_dataclass(value)
+        for parameter in inspect.signature(value).parameters
+        if parameter in names
+    }
+    assert found == set(VECTOR_ARGUMENTS)

@@ -88,9 +88,11 @@ def test_parse_bits_accepts_zeros_and_ones(bits):
     np.testing.assert_array_equal(out, [0, 1, 1, 0])
 
 
+# A string array or [None, 1] holds no numbers, a TypeError (test_core's
+# VECTOR_REGRESSIONS). The explicit ids keep the last two rows' names stable.
 @pytest.mark.parametrize(
-    "bits", ["", "012", [], [0, 2], [0.5], [-1], np.array(["0", "1"]),
-             np.array([None, 1], dtype=object), [np.nan], np.array([0, 2], dtype=np.uint8)],
+    "bits", ["", "012", [], [0, 2], [0.5], [-1], pytest.param([np.nan], id="bits8"),
+             pytest.param(np.array([0, 2], dtype=np.uint8), id="bits9")],
 )
 def test_parse_bits_rejects_anything_else(bits):
     with pytest.raises(ValueError, match="bit"):
