@@ -52,7 +52,6 @@ from .commx import (
     SuccessConditionReport,
     check_success_condition,
     click_count_stats,
-    click_counts,
     decide,
     estimate_success_probability,
     lecam_bound_check,

@@ -7,7 +7,8 @@ and picking the set with more clicks.  Modes are numbered so that S_0 is modes
 ``d0``, an integer in 0..d.  Each click count is a Poisson-binomial random
 variable; this module provides
 
-* the click-count decision rule on one click pattern (:func:`decide`),
+* the click-count decision rule on one click pattern (:func:`decide`, whose
+  :class:`Outcome` is valued sign(C_0 - C_1): ZERO 1, ONE -1, TIE 0),
 * exact Poisson-binomial pmfs (:func:`poisson_binomial_exact`),
 * Le Cam's Poisson-approximation bound
   |Pr(C in A) - Pr(L in A)| <= min(1, 1/mu) * sum_k p_k^2
@@ -35,10 +36,10 @@ from .mapping import ModeCoherentState, _poisson_deviance, _poisson_log_pmf
 _POISSON_BINOMIAL_CAP = 10_000
 
 
-class Outcome(Enum):
-    ZERO = 0
-    ONE = 1
-    TIE = 2
+class Outcome(Enum):  # valued sign(C_0 - C_1), as _compare gives it
+    ZERO = 1
+    ONE = -1
+    TIE = 0
 
 
 def _check_d0(d0, d: int) -> int:
@@ -48,27 +49,18 @@ def _check_d0(d0, d: int) -> int:
     return d0
 
 
-def click_counts(pattern: ClickPattern, d0: int) -> tuple[int, int]:
-    """Clicks in S_0 (modes 1..d0) and in S_1 (the other modes)."""
-    d0 = _check_d0(d0, pattern.dim)
-    return int(pattern.clicks[:d0].sum()), int(pattern.clicks[d0:].sum())
-
-
 def _compare(c0, c1):
     """sign(c0 - c1) per trial: +1 is the success event C_0 > C_1, 0 a tie."""
     return np.sign(np.subtract(c0, c1, dtype=np.int64))
 
 
-_OUTCOME_BY_SIGN = {1: Outcome.ZERO, -1: Outcome.ONE, 0: Outcome.TIE}
-
-
 def decide(pattern: ClickPattern, d0: int) -> Outcome:
-    """More clicks in S_0 means ZERO, more in S_1 means ONE, equal means TIE.
+    """More clicks in S_0 (modes 1..d0) means ZERO, more in S_1 means ONE, equal means TIE.
 
-    Tie resolution (including the all-vacuum pattern) is caller policy;
-    :func:`estimate_success_probability` counts ties as failures.
+    Ties (all-vacuum too) are caller policy; :func:`estimate_success_probability` counts them as failures.
     """
-    return _OUTCOME_BY_SIGN[int(_compare(*click_counts(pattern, d0)))]
+    d0 = _check_d0(d0, pattern.dim)
+    return Outcome(int(_compare(pattern.clicks[:d0].sum(), pattern.clicks[d0:].sum())))
 
 
 @dataclass(frozen=True)
@@ -138,6 +130,8 @@ def lecam_bound_check(probs, event: Iterable[int]) -> LecamCheck:
     """
     probs = _vector(probs, "probs")
     event_set = {_index(a, "event") for a in event}
+    if any(a > 2**53 for a in event_set):
+        raise ValueError("event must hold labels in 0..2**53 (exact in a double)")
     pmf = poisson_binomial_exact(probs)
     mu = float(probs.sum())
     tau = float((probs**2).sum())

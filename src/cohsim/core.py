@@ -66,6 +66,7 @@ def _vector(values, what: str, dtype=np.float64, ndim: int = 1) -> np.ndarray:
 
     Bools pass only as bits, into a bool ``dtype`` where every entry must be 0
     or 1; complex entries only into a complex one.  Domain checks are the caller's.
+    numpy reads a bool among numbers as 1, so input not in an ndarray is scanned per entry.
     """
     if type(values) is np.ndarray and values.dtype == dtype and values.ndim == ndim and values.size:
         return values.copy()  # the common case, without the element checks
@@ -75,9 +76,13 @@ def _vector(values, what: str, dtype=np.float64, ndim: int = 1) -> np.ndarray:
         arr = np.asarray(arr.tolist()) if arr.dtype == object else arr  # None stays an object
     except ValueError:  # ragged nesting
         raise ValueError(f"{what} must be a non-empty {shape}, got rows of unequal length") from None
+    noun = {"b": "bools or 0/1 numbers", "f": "real numbers", "c": "numbers"}[kind]
     if arr.dtype.kind not in {"b": "biuf", "f": "iuf", "c": "iufc"}[kind]:
-        noun = {"b": "bools or 0/1 numbers", "f": "real numbers", "c": "numbers"}[kind]
         raise TypeError(f"{what} must hold {noun}, got {arr.dtype} entries")
+    if kind != "b" and not isinstance(values, np.ndarray) and not {bool, np.bool_}.isdisjoint(
+        map(type, np.asarray(values, dtype=object).flat)
+    ):
+        raise TypeError(f"{what} must hold {noun}, got a bool entry")
     if arr.ndim != ndim or arr.size < 1:
         raise ValueError(f"{what} must be a non-empty {shape}, got shape {arr.shape}")
     if kind == "b" and not np.all((arr == 0) | (arr == 1)):
@@ -177,11 +182,12 @@ class UnitaryOp:
 
 
 def normalized(amplitudes) -> PureState:
-    """Build a PureState from an arbitrary non-zero amplitude vector."""
-    arr = _vector(amplitudes, "amplitudes", np.complex128)
-    if not 0.0 < (power := _power(arr)) < np.inf:
-        raise ValueError(f"amplitudes must have a finite, non-zero norm, got sum |amp|^2 = {power!r}")
-    return PureState(arr / np.sqrt(power))
+    """PureState of a finite non-zero vector; dividing first by its largest |Re| or |Im| keeps squares in range."""
+    parts = _vector(amplitudes, "amplitudes", np.complex128).view(np.float64)  # Re and Im, interleaved
+    if not 0.0 < (scale := float(np.abs(parts).max())) < np.inf:
+        raise ValueError(f"amplitudes must be finite and not all zero, got largest part {scale!r}")
+    parts /= scale  # a real division: a complex one by a subnormal scale overflows
+    return PureState((parts / np.sqrt(_power(parts))).view(np.complex128))
 
 
 def basis_state(d: int, k: int) -> PureState:
@@ -215,8 +221,7 @@ def apply_unitary(u: UnitaryOp, s: PureState) -> PureState:
 def random_state(d: int, rng: np.random.Generator) -> PureState:
     """State drawn uniformly from the complex unit sphere in dimension d."""
     d = _index(d, "d", 1)
-    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState(vec / np.linalg.norm(vec))
+    return normalized(rng.standard_normal(d) + 1j * rng.standard_normal(d))
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> UnitaryOp:

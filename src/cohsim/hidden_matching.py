@@ -160,9 +160,9 @@ def run_experiment(
 
     state = phase_encoded_state(bits, alpha)
     out = ModeCoherentState(_ports(matching, state.mode_amplitudes))
-    # Counting ports from 0, port 2t claims even parity for pair t and port 2t + 1 odd.
-    i, j = (np.asarray(matching.pairs) - 1).T
-    right = np.arange(n) % 2 == np.repeat(bits[i] ^ bits[j], 2)
+    pairs, parities = zip(*output_port_labels(matching))
+    i, j = (np.asarray(pairs) - 1).T
+    right = bits[i] ^ bits[j] == np.asarray(parities)  # the port's announced parity is x_i XOR x_j
 
     trial_rng = seed.child("trials").rng()
     correct = wrong = inconclusive = 0

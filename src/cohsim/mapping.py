@@ -61,7 +61,7 @@ class ModeCoherentState:
     @property
     def mean_photon_number(self) -> float:
         """mu = |alpha|^2, the summed power and mean of the (Poisson) total photon number."""
-        return float(np.sum(self.per_mode_mean_photons))
+        return _power(self.mode_amplitudes)
 
     @property
     def per_mode_mean_photons(self) -> np.ndarray:

@@ -25,13 +25,14 @@ reference), so honest runs abort never and verify with zero mismatches.
 Tampering is modeled explicitly: ``flip_revealed`` corrupts a fraction of
 the revealed key bits, ``repudiation`` makes Alice send Charlie states that
 differ from Bob's in a fraction of the modes.  A ``QdsConfig`` computes the
-optics once per amplitude level for all its runs, as threshold laws: rows of
-cumulative event probabilities, one column per level, against which each
-detection stage decodes one uniform per drawn mode.  ``split``, ``usd_measure``
-and ``equality_test`` take arbitrary states; ``usd_measure`` returns the signs,
-which ``verify_message(revealed_key, signs, threshold)`` checks.  One generator
-per run, thinned draws, key bits read only where drawn: past keygen an honest
-run costs its clicks, not n.
+optics once per amplitude level for all its runs, as two threshold laws (USD
+and EQ/NEQ): rows of cumulative event probabilities, one column per level.
+Each detection stage thins the modes at its own law's largest event
+probability and decodes one uniform per drawn mode against that law.
+``split``, ``usd_measure`` and ``equality_test`` take arbitrary states;
+``usd_measure`` returns the signs, which ``verify_message`` checks.  One
+generator per run, thinned draws, key bits read only where drawn: past keygen
+an honest run costs its clicks, not n.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -272,7 +274,7 @@ def _verdict(key_bits, signs, threshold: float) -> VerificationVerdict:
 
 @dataclass(frozen=True)
 class QdsConfig:
-    """Run parameters; thresholds must be ordered 0 <= s_a < s_v < 1."""
+    """Run parameters; thresholds 0 <= s_a < s_v < 1; tamper_params kept as a read-only checked copy."""
 
     n: int = 512
     alpha_sq: float = 9.0
@@ -280,7 +282,7 @@ class QdsConfig:
     s_a: float = 0.02
     s_v: float = 0.05
     tamper_model: str = "none"
-    tamper_params: dict = field(default_factory=dict)
+    tamper_params: dict | MappingProxyType = field(default_factory=dict)
     message_bit: int = 0
 
     def __post_init__(self) -> None:
@@ -288,7 +290,7 @@ class QdsConfig:
         object.__setattr__(self, "message_bit", _index(self.message_bit, "message_bit"))
         for name in ("alpha_sq", "f", "s_a", "s_v"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
-        if not isinstance(self.tamper_params, dict):
+        if not isinstance(self.tamper_params, (dict, MappingProxyType)):
             raise TypeError(f"tamper_params must be an object, got {self.tamper_params!r}")
         if self.alpha_sq <= 0.0:
             raise ValueError("alpha_sq must be positive")
@@ -307,33 +309,30 @@ class QdsConfig:
         allowed = () if self.tamper_model == "none" else ("fraction",)
         for key in self.tamper_params:
             if key not in allowed:
-                raise ValueError(
-                    f"tamper model {self.tamper_model!r} takes no tamper_params key {key!r}"
-                )
+                raise ValueError(f"tamper model {self.tamper_model!r} takes no tamper_params key {key!r}")
         if allowed and "fraction" not in self.tamper_params:
             raise ValueError("tamper_params must set 'fraction' in (0, 1]")
-        if allowed and not 0.0 < _real(self.tamper_params["fraction"], "fraction") <= 1.0:
+        params = {key: _real(value, key) for key, value in self.tamper_params.items()}
+        if allowed and not 0.0 < params["fraction"] <= 1.0:
             raise ValueError("fraction must lie in (0, 1]")
+        object.__setattr__(self, "tamper_params", MappingProxyType(params))
         if self.message_bit not in (0, 1):
             raise ValueError("message_bit must be 0 or 1")
 
     @cached_property
-    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Threshold laws per amplitude level and their thinning rates, once per config, read-only.
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The USD and EQ/NEQ threshold laws per amplitude level, once per config, read-only.
 
         USD column k is the kept copy of key bit k's amplitude; EQ/NEQ column
-        2 * Bob's bit + Charlie's bit compares the two shared copies.  A law's
-        last row is each level's event probability, so the third array, each
-        law's largest, is the q_max its stages thin at.
+        2 * Bob's bit + Charlie's bit compares the two shared copies.
         """
         amps = np.array([1.0, -1.0]) * (complex(math.sqrt(self.alpha_sq)) / math.sqrt(self.n))
         kept, shared = beam_splitter(amps, 0.0)
         usd = _usd_law(kept, math.sqrt(self.alpha_sq / (2.0 * self.n)))
         eq = _equality_law(shared[:, None], shared[None, :]).reshape(3, 4)
-        rates = np.array([usd[-1].max(), eq[-1].max()])
-        for table in (usd, eq, rates):
+        for table in (usd, eq):
             table.setflags(write=False)
-        return usd, eq, rates
+        return usd, eq
 
     @classmethod
     def from_dict(cls, data: dict) -> "QdsConfig":
@@ -392,12 +391,11 @@ def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
     beta = math.sqrt(config.alpha_sq / (2.0 * n))
     distribution = {"alpha_sq": config.alpha_sq, "usd_reference_magnitude": beta}
     records.append(StageRecord("distribution", distribution))
-    usd_law, eq_law, rates = config.tables
-    usd_rate, eq_rate = rates.tolist()
+    usd_law, eq_law = config.tables
     usd_events: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
     for b in (0, 1):
         for who, key in (("bob", keys[b]), ("charlie", charlie_keys[b])):
-            modes, u = _sparse_events(usd_rate, n, rng)
+            modes, u = _sparse_events(usd_law[-1].max(), n, rng)
             signs = _usd_signs(usd_law.take(key[modes], axis=1), u)
             usd_events[who, b] = modes, signs
             plus, minus = (signs.tolist().count(sign) for sign in (1, -1))
@@ -406,7 +404,7 @@ def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
 
     aborted = False
     for b in (0, 1):
-        modes, u = _sparse_events(eq_rate, n, rng)
+        modes, u = _sparse_events(eq_law[-1].max(), n, rng)
         pairs = 2 * keys[b][modes] + charlie_keys[b][modes]
         report = _equality_report(eq_law.take(pairs, axis=1), u, config.f)
         aborted = aborted or report.aborted

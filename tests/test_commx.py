@@ -14,7 +14,6 @@ from cohsim import (
     Seed,
     check_success_condition,
     click_count_stats,
-    click_counts,
     decide,
     estimate_success_probability,
     lecam_bound_check,
@@ -35,7 +34,7 @@ def pattern(*bits):
 def test_decide_all_dark_is_tie():
     p = pattern(0, 0, 0, 0)
     assert decide(p, 2) is Outcome.TIE
-    assert click_counts(p, 2) == (0, 0)
+    assert decide(p, 0) is decide(p, 4) is Outcome.TIE
 
 
 def test_decide_clicks_only_in_first_set():
@@ -49,12 +48,11 @@ def test_decide_majority():
 
 def test_partition_validation():
     # d0 splits d modes into S_0 = 1..d0 and S_1 = d0+1..d: any integer in 0..d
-    assert click_counts(pattern(1, 0, 1), 0) == (0, 2)
-    assert click_counts(pattern(1, 0, 1), 3) == (2, 0)
+    assert decide(pattern(1, 0, 1), 0) is Outcome.ONE
+    assert decide(pattern(1, 0, 1), 3) is Outcome.ZERO
     c = ModeCoherentState(np.zeros(2, dtype=complex))
     probs = uniform_block_probs(1.0, 2, 0)
     calls = [
-        lambda d0: click_counts(pattern(1, 0), d0),
         lambda d0: decide(pattern(1, 0), d0),
         lambda d0: click_count_stats(c, d0),
         lambda d0: check_success_condition(0.1, 1.0, probs, d0),
@@ -534,10 +532,13 @@ def test_two_block_generator_count_distribution():
 
 
 def test_decide_agrees_with_the_estimator_success_event():
-    # decide's ZERO on a pattern with counts (c0, c1) is the estimator's success
+    # decide's ZERO on a pattern with counts (c0, c1) is the estimator's success,
+    # and every outcome is valued sign(c0 - c1), the estimator's own comparison
     for c0 in range(4):
         for c1 in range(4):
             bits = [1] * c0 + [0] * (3 - c0) + [1] * c1 + [0] * (3 - c1)
+            assert decide(pattern(*bits), 3) is Outcome(int(np.sign(c0 - c1)))
+            assert decide(pattern(*bits), 3).value == commx._compare(c0, c1)
             est = estimate_success_probability(constant_counts(c0, c1), 1, Seed(96))
             assert (decide(pattern(*bits), 3) is Outcome.ZERO) == (est.successes == 1)
             assert (decide(pattern(*bits), 3) is Outcome.TIE) == (est.ties == 1)

@@ -140,6 +140,24 @@ def test_normalized_builds_unit_states():
         normalized([0.0, 0.0])
 
 
+# The unscaled sum of squares underflowed (1e-160, 1e-300) or overflowed (1e160).
+@pytest.mark.parametrize(
+    "amplitudes, unit",
+    [([1e-160, 0.0], [1.0, 0.0]), ([5e-324, 0.0], [1.0, 0.0]), ([1e160], [1.0]),
+     ([1e-300, 1e-300j], [0.5**0.5, 0.5**0.5 * 1j]), ([1e308, -1e308j], [0.5**0.5, -(0.5**0.5) * 1j])],
+)
+def test_normalized_scales_before_it_sums(amplitudes, unit):
+    np.testing.assert_allclose(normalized(amplitudes).amplitudes, unit, rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "amplitudes", [[0.0], [0.0, 0.0j], [math.nan, 1.0], [1.0, math.inf], [complex(0, math.inf)]]
+)
+def test_normalized_refuses_zero_and_non_finite_vectors(amplitudes):
+    with pytest.raises(ValueError, match="^amplitudes must be finite and not all zero"):
+        normalized(amplitudes)
+
+
 def test_unitary_matrix_is_validated():
     with pytest.raises(ValueError):
         UnitaryOp(np.array([[1.0, 0.0], [0.0, 2.0]]))
@@ -515,6 +533,13 @@ VECTOR_REGRESSIONS = {
         cohsim.ModeCoherentState([1e150]), [1e308]), ValueError, "counts"),
     "counts-past-2**53": (lambda: cohsim.photon_count_probability(
         cohsim.ModeCoherentState([1.0]), [2**53 + 2]), ValueError, "counts"),
+    # numpy read the bool among numbers as 1.0.
+    "mode-state-bool-among-numbers": (lambda: cohsim.ModeCoherentState([True, 0.5]), TypeError,
+                                      "mode_amplitudes"),
+    "pmf-numpy-bool-among-numbers": (lambda: cohsim.poisson_binomial_exact([np.True_, 0.5]), TypeError,
+                                     "probs"),
+    # The label reached float() and raised a bare OverflowError.
+    "lecam-event-past-2**53": (lambda: cohsim.lecam_bound_check([0.1], {10**400}), ValueError, "event"),
     # Entries past 1 are refused before the sum, which would overflow here.
     "condition-overflowing-sum": (lambda: cohsim.check_success_condition(0.1, 60.0, [1e308, 1e308], 1),
                                   ValueError, "probs_qubit"),

@@ -212,6 +212,16 @@ def test_run_experiment_conclusive_answers_are_correct():
     assert stats.conclusive_correct + stats.inconclusive == 300
 
 
+def test_run_experiment_tallies_by_the_port_labels(monkeypatch):
+    # The tally reads each port's meaning from output_port_labels: with every
+    # announced parity swapped, every conclusive trial counts as wrong.
+    labels = hm.output_port_labels
+    monkeypatch.setattr(hm, "output_port_labels", lambda m: tuple((p, 1 - parity) for p, parity in labels(m)))
+    stats = run_experiment(6, FIG_MATCHING, "011010", math.sqrt(3.0), 300, Seed(103))
+    assert stats.conclusive_correct == 0
+    assert stats.conclusive_wrong + stats.inconclusive == 300 and stats.conclusive_wrong > 0
+
+
 def test_run_experiment_builds_no_dense_network(monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("run_experiment built an n x n network")

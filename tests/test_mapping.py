@@ -166,6 +166,14 @@ def test_from_amplitudes_refuses_a_power_past_the_double_range():
         ModeCoherentState([1e160, 1.0])
 
 
+def test_mean_photon_number_is_summed_by_core_power(monkeypatch):
+    # One statement of the power: the property reads core's sum, not its own.
+    c = ModeCoherentState([1.0, 2.0j])
+    assert c.mean_photon_number == cohsim.core._power(c.mode_amplitudes)
+    monkeypatch.setattr(cohsim.mapping, "_power", lambda amps: -1.0)
+    assert c.mean_photon_number == -1.0
+
+
 def test_mean_photon_number_is_the_summed_power():
     c = ModeCoherentState([1.0, 2.0j])
     assert c.mean_photon_number == pytest.approx(5.0)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import json
 import math
@@ -634,7 +635,39 @@ def test_run_qds_evaluates_its_laws_once_per_config(monkeypatch, tamper_model):
     for run in range(50):
         run_qds(config, Seed(152).child(run))
     assert calls == {"_usd_probabilities": 1, "_click_probabilities": 1}
-    assert not any(table.flags.writeable for table in config.tables)
+    usd, eq = config.tables  # the two laws, and nothing besides
+    assert usd.shape == (2, 2) and eq.shape == (3, 4)
+    assert not usd.flags.writeable and not eq.flags.writeable
+
+
+def test_each_stage_thins_at_its_own_laws_rate(monkeypatch):
+    # Honest USD and EQ/NEQ events both have probability 1 - e^{-alpha_sq/n}, so a stage
+    # thinned at the other law's rate shows only once the laws part: halving the
+    # equality law must leave the USD stages, drawn first, as they were.
+    def usd_records():
+        return [r for r in run_qds(QdsConfig(n=512, alpha_sq=36.0), Seed(7)).records if r.stage == "usd"]
+
+    before = usd_records()
+    law = qds._equality_law
+    monkeypatch.setattr(qds, "_equality_law", lambda u, w: law(u, w) / 2)
+    assert QdsConfig(n=512, alpha_sq=36.0).tables[1][-1].max() < 0.04
+    assert usd_records() == before
+
+
+def test_config_keeps_a_read_only_copy_of_the_tamper_params():
+    # The caller's dict was kept: a fraction changed after the check reached run_qds.
+    params = {"fraction": 0.2}
+    config = QdsConfig(n=16, tamper_model="flip_revealed", tamper_params=params)
+    before = run_qds(config, Seed(1)).records
+    params["fraction"] = 7.0
+    assert config.tamper_params == {"fraction": 0.2}
+    assert run_qds(config, Seed(1)).records == before
+    with pytest.raises(TypeError):
+        config.tamper_params["fraction"] = 0.9
+    assert config == QdsConfig(n=16, tamper_model="flip_revealed", tamper_params={"fraction": 0.2})
+    assert dataclasses.replace(config) == config
+    whole = QdsConfig(tamper_model="repudiation", tamper_params={"fraction": np.int64(1)})
+    assert type(whole.tamper_params["fraction"]) is float
 
 
 def test_vanishing_reference_magnitude_is_inconclusive_without_warnings():
