@@ -10,7 +10,9 @@ six steps:
    yielding two copies with amplitude reduced by sqrt(2).
 3. Each recipient measures the first copy mode by mode with unambiguous
    state discrimination (USD) between +beta and -beta, beta = |alpha| /
-   sqrt(2n), storing the signs as a vector over {-1, 0, +1} (0 = inconclusive).
+   sqrt(2n): the copy meets a reference +beta on a balanced beam splitter, and
+   a click on the "+" or "-" port alone gives the sign.  The signs are stored
+   as a vector over {-1, 0, +1} (0 = both ports or neither, inconclusive).
 4. The second copies travel to one lab and interfere pairwise on a balanced
    beam splitter whose ports mean "equal" / "not equal"; if NEQ clicks exceed
    a fraction f of all clicks, the run aborts (a signer who sent the two
@@ -24,11 +26,13 @@ Everything is ideal (lossless optics, perfect detectors, shared phase
 reference), so honest runs abort never and verify with zero mismatches.
 Tampering is modeled explicitly: ``flip_revealed`` corrupts a fraction of
 the revealed key bits, ``repudiation`` makes Alice send Charlie states that
-differ from Bob's in a fraction of the modes.  A ``QdsConfig`` computes the
-optics once per amplitude level for all its runs, as two threshold laws (USD
-and EQ/NEQ): rows of cumulative event probabilities, one column per level.
-Each detection stage thins the modes at its own law's largest event
-probability and decodes one uniform per drawn mode against that law.
+differ from Bob's in a fraction of the modes.  Every detection stage is one
+interferometer, two inputs on a balanced beam splitter with a threshold
+detector per port, and one port law gives its thresholds (a, p_1, a + p_2).
+A ``QdsConfig`` computes that law once per amplitude level for all its runs,
+as two tables (USD against the reference, EQ/NEQ between the copies), one
+column per level.  Each detection stage thins the modes at its own table's
+largest event probability and decodes one uniform per drawn mode against it.
 ``split``, ``usd_measure`` and ``equality_test`` take arbitrary states;
 ``usd_measure`` returns the signs, which ``verify_message`` checks.  One
 generator per run, thinned draws, key bits read only where drawn: past keygen
@@ -75,49 +79,30 @@ def split(c: ModeCoherentState) -> tuple[ModeCoherentState, ModeCoherentState]:
     return ModeCoherentState(kept), ModeCoherentState(shared)
 
 
-def _usd_probabilities(amps: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Conclusive-outcome probabilities of optimal binary USD for |+beta>/|-beta>.
+def _port_law(u, w) -> np.ndarray:
+    """Port thresholds (a, p_1, a + p_2), a = p_1 (1 - p_2), one column per pair of inputs u, w.
 
-    The measurement operators for the symmetric pair (overlap s = e^{-2 beta^2})
-    are E_+ = |v_perp><v_perp| / (1+s) with |v_perp> the in-span vector
-    orthogonal to |-beta>, and symmetrically E_-.  Applied to an arbitrary
-    coherent amplitude gamma this gives
-
-        P(+) = |<beta|gamma> - s <-beta|gamma>|^2 / ((1-s^2)(1+s))
-
-    and the mirror expression for P(-).  For honest inputs gamma = +-beta this
-    reduces to the optimal conclusive rate 1 - s with zero error; for tampered
-    amplitudes it is the projection of |gamma> onto the same measurement.
+    p_1 and p_2 are the threshold-detector click probabilities at the
+    ``beam_splitter`` ports (u + w)/sqrt(2) and (u - w)/sqrt(2).  The ports
+    click independently, and one uniform per pair carries both: port 1 below
+    p_1, port 2 on [a, a + p_2).  a + p_2 is the chance that either clicks.
     """
-    norm = -math.expm1(-2.0 * beta * beta)
-    if norm == 0.0:  # beta^2 is 0: identical hypotheses, every outcome inconclusive
-        return np.zeros(amps.shape), np.zeros(amps.shape)
-    s = math.exp(-2.0 * beta * beta)
-    # For gamma = x + iy, <+-beta|gamma> has modulus exp(-((beta -+ x)^2 + y^2)/2),
-    # at most 1, and phase +-beta*y: real arithmetic only.  (beta -+ x)^2 + y^2
-    # is at most (beta + |gamma|)^2, finite while beta + |gamma| is below 1e154,
-    # which usd_measure checks and QdsConfig's bound implies.
-    # 1 - s^2 comes from expm1, which stays non-zero for every beta > 0.
-    x, y_sq = amps.real, amps.imag**2
-    mod_plus = np.exp(-((beta - x) ** 2 + y_sq) / 2.0)
-    mod_minus = np.exp(-((beta + x) ** 2 + y_sq) / 2.0)
-    cos_sq = np.cos(beta * amps.imag) ** 2
-    norm *= (1.0 + s) ** 2
-
-    def prob(a, b):  # |a e^{i beta y} - s b e^{-i beta y}|^2 / norm
-        return ((a - s * b) ** 2 * cos_sq + (a + s * b) ** 2 * (1.0 - cos_sq)) / norm
-
-    return prob(mod_plus, mod_minus), prob(mod_minus, mod_plus)
+    with np.errstate(over="ignore"):  # a port power past the float range clicks surely
+        p_1, p_2 = (_click_probability(np.abs(port) ** 2) for port in beam_splitter(u, w))
+    one_only = p_1 * (1.0 - p_2)
+    return np.array([one_only, p_1, one_only + p_2])
 
 
-def _usd_law(amps: np.ndarray, beta: float) -> np.ndarray:
-    """USD thresholds (P(+), P(+) + P(-)) per amplitude, one column each."""
-    return np.cumsum(_usd_probabilities(amps, beta), axis=0)
+def _port_clicks(law: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether port 1 and port 2 click for uniforms u at port law columns."""
+    one_only, p_1, either = law
+    return u < p_1, (u >= one_only) & (u < either)
 
 
 def _usd_signs(law: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Signs of uniforms u at USD law columns: +1 below P(+), -1 below P(+) + P(-), else 0."""
-    return 2 * (u < law[0]).view(np.int8) - (u < law[1]).view(np.int8)
+    """USD signs at receiver law columns: +1 where only "+" clicks, -1 where only "-" does, else 0."""
+    plus, minus = _port_clicks(law, u)
+    return plus.view(np.int8) - minus.view(np.int8)
 
 
 def usd_measure(
@@ -126,20 +111,19 @@ def usd_measure(
     """Mode-by-mode USD between +beta and -beta on the kept copy: a read-only int8 vector.
 
     Entry i is the sign found at mode i, +1 or -1, or 0 where the outcome was
-    inconclusive; this is the recipient's classical record.  With honest
-    inputs (every amplitude exactly +-beta) each mode is conclusive with
-    probability 1 - e^{-2 beta^2} and the conclusive sign is always the true
-    one.  beta = 0 makes the two hypotheses identical, so everything is
-    inconclusive.
+    inconclusive; this is the recipient's classical record.  The receiver is
+    linear optics: each mode meets a reference +beta on a balanced beam
+    splitter with a threshold detector on each port.  A click on the "+"
+    port (u + beta)/sqrt(2) alone reads +1, on the "-" port (u - beta)/sqrt(2)
+    alone -1, and both ports or neither read 0.  With honest inputs (every
+    amplitude exactly +-beta) one port stays dark, so each mode is conclusive
+    with probability 1 - e^{-2 beta^2}, the optimum, and the conclusive sign
+    is always the true one.  Other amplitudes follow the same receiver.
     """
     beta = _real(reference_magnitude, "reference_magnitude")
-    # The USD law squares beta -+ Re(gamma); below this bound no square overflows.
-    if not (0.0 <= beta and beta + np.abs(c.mode_amplitudes).max() < 1e154):
-        raise ValueError(
-            f"reference_magnitude must be non-negative, and plus the largest"
-            f" mode modulus below 1e154, got {reference_magnitude!r}"
-        )
-    law = _usd_law(c.mode_amplitudes, beta)
+    if beta < 0.0:
+        raise ValueError(f"reference_magnitude must be non-negative, got {reference_magnitude!r}")
+    law = _port_law(c.mode_amplitudes, beta)
     modes, u = _sparse_events(law[-1].max(), c.dim, rng)
     outcomes = np.zeros(c.dim, dtype=np.int8)
     outcomes[modes] = _usd_signs(law.take(modes, axis=1), u)
@@ -191,40 +175,16 @@ def equality_test(
         raise ValueError("states must have the same number of modes")
     if not 0.0 < (f := _real(f, "f")) < 1.0:
         raise ValueError(f"f must lie in (0, 1), got {f!r}")
-    law = _equality_law(b.mode_amplitudes, c.mode_amplitudes)
+    law = _port_law(b.mode_amplitudes, c.mode_amplitudes)
     modes, u = _sparse_events(law[-1].max(), b.dim, rng)
     return _equality_report(law.take(modes, axis=1), u, f)
 
 
-def _click_probabilities(u, w) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold-detector click probabilities at the EQ and NEQ ports."""
-    return tuple(_click_probability(np.abs(port) ** 2) for port in beam_splitter(u, w))
-
-
-def _equality_law(u, w) -> np.ndarray:
-    """EQ/NEQ thresholds (a, p_eq, a + p_neq), a = p_eq (1 - p_neq), one column per mode pair.
-
-    The ports click independently, and one uniform per pair carries both:
-    EQ below p_eq, NEQ on [a, a + p_neq).  a + p_neq is the chance that either clicks.
-    """
-    p_eq, p_neq = _click_probabilities(u, w)
-    eq_only = p_eq * (1.0 - p_neq)
-    return np.array([eq_only, p_eq, eq_only + p_neq])
-
-
 def _equality_report(law: np.ndarray, u: np.ndarray, f: float) -> EqualityTestReport:
-    """Tally the EQ and NEQ clicks of uniforms u at equality law columns; abort above f."""
-    eq_only, p_eq, either = law
-    eq_clicks = int(np.count_nonzero(u < p_eq))
-    neq_clicks = int(np.count_nonzero((u >= eq_only) & (u < either)))
-    total = eq_clicks + neq_clicks
-    fraction = neq_clicks / total if total > 0 else 0.0
-    return EqualityTestReport(
-        neq_clicks=neq_clicks,
-        total_clicks=total,
-        neq_fraction=fraction,
-        aborted=bool(fraction > f),
-    )
+    """Tally the EQ (port 1) and NEQ (port 2) clicks of uniforms u at port law columns; abort above f."""
+    eq, neq = (int(np.count_nonzero(clicks)) for clicks in _port_clicks(law, u))
+    fraction = neq / (eq + neq) if eq + neq > 0 else 0.0
+    return EqualityTestReport(neq, eq + neq, fraction, bool(fraction > f))
 
 
 @dataclass(frozen=True)
@@ -319,17 +279,22 @@ class QdsConfig:
         if self.message_bit not in (0, 1):
             raise ValueError("message_bit must be 0 or 1")
 
+    def __hash__(self) -> int:
+        scalars = tuple(getattr(self, spec.name) for spec in fields(self) if spec.name != "tamper_params")
+        return hash((scalars, tuple(sorted(self.tamper_params.items()))))
+
     @cached_property
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The USD and EQ/NEQ threshold laws per amplitude level, once per config, read-only.
+        """The USD and EQ/NEQ port laws per amplitude level, once per config, read-only.
 
-        USD column k is the kept copy of key bit k's amplitude; EQ/NEQ column
-        2 * Bob's bit + Charlie's bit compares the two shared copies.
+        USD column k is the kept copy of key bit k's amplitude against the
+        reference +beta; EQ/NEQ column 2 * Bob's bit + Charlie's bit compares
+        the two shared copies.  Two laws, since each stage thins at its own rate.
         """
         amps = np.array([1.0, -1.0]) * (complex(math.sqrt(self.alpha_sq)) / math.sqrt(self.n))
         kept, shared = beam_splitter(amps, 0.0)
-        usd = _usd_law(kept, math.sqrt(self.alpha_sq / (2.0 * self.n)))
-        eq = _equality_law(shared[:, None], shared[None, :]).reshape(3, 4)
+        usd = _port_law(kept, math.sqrt(self.alpha_sq / (2.0 * self.n)))
+        eq = _port_law(shared[:, None], shared[None, :]).reshape(3, 4)
         for table in (usd, eq):
             table.setflags(write=False)
         return usd, eq

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import warnings
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -22,15 +23,13 @@ from cohsim import (
     usd_measure,
     verify_message,
 )
+from cohsim.mapping import beam_splitter
 from cohsim.qds import (
     StageRecord,
-    _click_probabilities,
-    _equality_law,
     _equality_report,
     _flip_mask,
+    _port_law,
     _sparse_events,
-    _usd_law,
-    _usd_probabilities,
     _usd_signs,
 )
 
@@ -153,9 +152,15 @@ def test_usd_honest_runs_never_err_exhaustively():
             assert np.all(found[conclusive] == signs[conclusive])
 
 
+def _sign_probabilities(amps, beta):
+    """(P(+), P(-)) of the receiver against +beta: a = p_1 (1 - p_2) and a + p_2 - p_1 = p_2 (1 - p_1)."""
+    law = _port_law(amps, beta)
+    return law[0], law[2] - law[1]
+
+
 def test_usd_honest_probabilities_reduce_to_optimal_rate():
     beta = 0.3
-    p_plus, p_minus = _usd_probabilities(np.array([beta, -beta], dtype=complex), beta)
+    p_plus, p_minus = _sign_probabilities(np.array([beta, -beta], dtype=complex), beta)
     rate = -math.expm1(-2 * beta * beta)
     assert p_plus[0] == pytest.approx(rate, rel=1e-12)
     assert p_minus[0] == 0.0
@@ -165,14 +170,14 @@ def test_usd_honest_probabilities_reduce_to_optimal_rate():
 
 def test_usd_tampered_vacuum_is_symmetric_and_subnormalized():
     beta = 0.5
-    p_plus, p_minus = _usd_probabilities(np.array([0.0 + 0.0j]), beta)
+    p_plus, p_minus = _sign_probabilities(np.array([0.0 + 0.0j]), beta)
     assert p_plus[0] == pytest.approx(p_minus[0], rel=1e-12)
     assert p_plus[0] + p_minus[0] < 1.0
 
 
 def test_usd_tampered_bright_plus_state_biases_plus():
     beta = 0.5
-    p_plus, p_minus = _usd_probabilities(np.array([3 * beta + 0.0j]), beta)
+    p_plus, p_minus = _sign_probabilities(np.array([3 * beta + 0.0j]), beta)
     assert p_plus[0] > 3 * p_minus[0]
     assert p_minus[0] >= 0.0
     assert p_plus[0] + p_minus[0] <= 1.0
@@ -183,18 +188,47 @@ def test_usd_tampered_bright_plus_state_biases_plus():
 def test_usd_probabilities_stay_finite_at_extreme_references(beta):
     # Large amplitudes overflowed exp(beta * gamma), and a tiny beta made the
     # normalisation 0/0; both returned nan, so every mode read inconclusive.
-    p_plus, p_minus = _usd_probabilities(np.array([beta, -beta], dtype=complex), beta)
+    p_plus, p_minus = _sign_probabilities(np.array([beta, -beta], dtype=complex), beta)
     rate = -math.expm1(-2.0 * beta * beta)
     np.testing.assert_allclose(p_plus, [rate, 0.0], rtol=1e-6, atol=1e-12)
     np.testing.assert_allclose(p_minus, [0.0, rate], rtol=1e-6, atol=1e-12)
 
 
-@pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0, 1e160, 1e200, 1.7e308])
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
 def test_usd_measure_refuses_a_bad_reference_magnitude(beta):
-    # nan reached numpy's binomial, and huge values overflowed (beta -+ x)^2.
+    # nan reached numpy's binomial.
     c = ModeCoherentState([1.0, -1.0])
     with pytest.raises(ValueError, match="reference_magnitude"):
         usd_measure(c, beta, Seed(132).rng())
+
+
+@pytest.mark.parametrize("beta", [1e160, 1e200, 1.7e308])
+def test_usd_measure_lights_both_ports_at_a_huge_reference_without_warnings(beta):
+    # These references were refused, since the POVM law overflowed (beta -+ x)^2.
+    # Against the receiver both ports carry an infinite power and click surely.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        signs = usd_measure(ModeCoherentState([1.0, -1.0]), beta, Seed(132).rng())
+    assert signs.tolist() == [0, 0]
+
+
+def test_bright_equality_test_finishes_without_warnings():
+    # A valid state whose EQ port power 3.4e308 overflowed under -W error.
+    s = ModeCoherentState([1.3e154])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = equality_test(s, s, 0.5, Seed(132).rng())
+    assert (report.neq_clicks, report.total_clicks) == (0, 1)
+
+
+def test_port_law_gives_the_optimal_usd_rate_with_no_error_at_every_scale():
+    # The POVM form cancelled at small beta: P(+) was 0 for beta <= 1e-9.
+    for beta in np.logspace(-150, math.log10(30.0), 301):
+        p_plus, p_minus = _sign_probabilities(np.array([beta, -beta]), beta)
+        rate = -math.expm1(-2.0 * beta * beta)
+        assert p_plus[0] == pytest.approx(rate, rel=2e-15, abs=0.0)
+        assert p_minus[1] == pytest.approx(rate, rel=2e-15, abs=0.0)
+        assert p_minus[0] == 0.0 and p_plus[1] == 0.0
 
 
 def test_usd_measure_is_exact_just_inside_the_magnitude_bound():
@@ -610,47 +644,42 @@ def test_run_qds_matches_the_per_mode_reference(n, tamper_model):
 
 
 def test_run_qds_evaluates_the_usd_law_on_amplitude_levels(monkeypatch):
-    sizes = []
-    law = qds._usd_probabilities
-    monkeypatch.setattr(
-        qds, "_usd_probabilities", lambda amps, beta: sizes.append(amps.size) or law(amps, beta)
-    )
+    pairs = []
+    law = qds._port_law
+    monkeypatch.setattr(qds, "_port_law", lambda u, w: pairs.append(np.broadcast(u, w).size) or law(u, w))
     t = run_qds(QdsConfig(n=4096, alpha_sq=9.0), Seed(151))
-    assert sizes and max(sizes) <= 2
+    assert pairs and max(pairs) <= 4
     assert t.accepted_by_both
 
 
 @pytest.mark.parametrize("tamper_model", ["none", "flip_revealed", "repudiation"])
 def test_run_qds_evaluates_its_laws_once_per_config(monkeypatch, tamper_model):
-    calls = collections.Counter()
-
-    def counted(name):
-        law = getattr(qds, name)
-        return lambda *args: calls.update([name]) or law(*args)
-
-    for name in ("_usd_probabilities", "_click_probabilities"):
-        monkeypatch.setattr(qds, name, counted(name))
+    calls = []
+    law = qds._port_law
+    monkeypatch.setattr(qds, "_port_law", lambda u, w: calls.append(1) or law(u, w))
     params = {} if tamper_model == "none" else {"fraction": 0.01}
     config = QdsConfig(n=512, alpha_sq=36.0, tamper_model=tamper_model, tamper_params=params)
     for run in range(50):
         run_qds(config, Seed(152).child(run))
-    assert calls == {"_usd_probabilities": 1, "_click_probabilities": 1}
+    assert len(calls) == 2
     usd, eq = config.tables  # the two laws, and nothing besides
-    assert usd.shape == (2, 2) and eq.shape == (3, 4)
+    assert usd.shape == (3, 2) and eq.shape == (3, 4)
     assert not usd.flags.writeable and not eq.flags.writeable
 
 
-def test_each_stage_thins_at_its_own_laws_rate(monkeypatch):
+def test_each_stage_thins_at_its_own_laws_rate():
     # Honest USD and EQ/NEQ events both have probability 1 - e^{-alpha_sq/n}, so a stage
     # thinned at the other law's rate shows only once the laws part: halving the
-    # equality law must leave the USD stages, drawn first, as they were.
+    # config's equality table must leave the USD stages, drawn first, as they were.
+    config = QdsConfig(n=512, alpha_sq=36.0)
+
     def usd_records():
-        return [r for r in run_qds(QdsConfig(n=512, alpha_sq=36.0), Seed(7)).records if r.stage == "usd"]
+        return [r for r in run_qds(config, Seed(7)).records if r.stage == "usd"]
 
     before = usd_records()
-    law = qds._equality_law
-    monkeypatch.setattr(qds, "_equality_law", lambda u, w: law(u, w) / 2)
-    assert QdsConfig(n=512, alpha_sq=36.0).tables[1][-1].max() < 0.04
+    usd, eq = config.tables
+    vars(config)["tables"] = usd, eq / 2  # the cached value run_qds reads
+    assert config.tables[1][-1].max() < 0.04
     assert usd_records() == before
 
 
@@ -670,6 +699,20 @@ def test_config_keeps_a_read_only_copy_of_the_tamper_params():
     assert type(whole.tamper_params["fraction"]) is float
 
 
+def test_equal_configs_hash_equal_and_key_a_dict():
+    # hash(QdsConfig()) raised TypeError: the tamper_params mapping proxy is unhashable.
+    params = {"fraction": 0.2}
+    spellings = [
+        QdsConfig(n=16, tamper_model="repudiation", tamper_params=params),
+        QdsConfig(n=np.int64(16), tamper_model="repudiation", tamper_params=MappingProxyType(params)),
+    ]
+    assert spellings[0] == spellings[1] and hash(spellings[0]) == hash(spellings[1])
+    assert hash(QdsConfig()) == hash(QdsConfig(n=np.int64(512), tamper_params=MappingProxyType({})))
+    cache = {QdsConfig(): "default", spellings[0]: "repudiation"}
+    assert cache[QdsConfig(n=512)] == "default" and cache[spellings[1]] == "repudiation"
+    assert QdsConfig(n=17, tamper_model="repudiation", tamper_params=params) not in cache
+
+
 def test_vanishing_reference_magnitude_is_inconclusive_without_warnings():
     # alpha_sq / (2n) underflows to 0, so beta = 0 and the USD law would be 0/0.
     with warnings.catch_warnings():
@@ -684,15 +727,26 @@ def test_vanishing_reference_magnitude_is_inconclusive_without_warnings():
 # ---------------------------------------------------------------------------
 
 
-def _dense_usd_signs(p_plus, p_minus, u):
-    """The reference decoding: +1 below P(+), -1 below P(+) + P(-), else 0."""
-    return np.where(u < p_plus, 1, np.where(u < p_plus + p_minus, -1, 0))
+def _port_probabilities(u, w):
+    """Click probabilities (p_1, p_2) of the two beam_splitter ports, each port on its own."""
+    return tuple(-np.expm1(-np.abs(port) ** 2) for port in beam_splitter(u, w))
 
 
-def _dense_usd(table, levels, rng):
-    """The reference law: one uniform per mode, decoded at the (P(+), P(-)) table columns."""
-    p_plus, p_minus = table[:, levels]
-    return _dense_usd_signs(p_plus, p_minus, rng.random(levels.size))
+def _law_of(p_1, p_2):
+    """The port law (a, p_1, a + p_2), a = p_1 (1 - p_2), of given port click probabilities."""
+    one_only = p_1 * (1.0 - p_2)
+    return np.array([one_only, p_1, one_only + p_2])
+
+
+def _dense_usd_signs(plus, minus):
+    """The reference decoding of port clicks: +1 for "+" alone, -1 for "-" alone, else 0."""
+    return np.where(plus & ~minus, 1, np.where(minus & ~plus, -1, 0))
+
+
+def _dense_usd(ports, levels, rng):
+    """The reference law: each port of each mode clicks on its own uniform, at (p_1, p_2) columns."""
+    p_1, p_2 = ports[:, levels]
+    return _dense_usd_signs(rng.random(levels.size) < p_1, rng.random(levels.size) < p_2)
 
 
 def _sparse_usd(law, levels, rng):
@@ -718,21 +772,25 @@ def _uniforms_at(thresholds, rng, columns):
 def test_usd_signs_match_the_dense_reference_at_every_threshold():
     beta = 0.5
     amps = np.array([beta, -beta, 0.0, 3 * beta, 0.2 - 0.4j, -1.1 + 0.3j, 1e-3])
-    p_plus, p_minus = _usd_probabilities(amps, beta)
-    u = _uniforms_at((p_plus, p_plus + p_minus), Seed(182).rng(), amps.size)
+    p_1, p_2 = _port_probabilities(amps, beta)
+    one_only = p_1 * (1.0 - p_2)
+    u = _uniforms_at((one_only, p_1, one_only + p_2), Seed(182).rng(), amps.size)
     columns = np.broadcast_to(np.arange(amps.size), u.shape)
-    signs = _usd_signs(_usd_law(amps, beta)[:, columns.ravel()], u.ravel())
-    dense = _dense_usd_signs(p_plus, p_minus, u)
+    signs = _usd_signs(_port_law(amps, beta)[:, columns.ravel()], u.ravel())
+    plus, minus = u < p_1, (one_only <= u) & (u < one_only + p_2)
+    dense = _dense_usd_signs(plus, minus)
     assert signs.dtype == np.int8 and set(dense.ravel().tolist()) == {-1, 0, 1}
+    # honest columns leave one port dark; vacuum, 3 beta and the complex amplitudes light both
+    assert (plus & minus).any(axis=0).tolist() == [False, False] + [True] * 5
     np.testing.assert_array_equal(signs.reshape(u.shape), dense)
 
 
 def test_equality_report_matches_the_dense_reference_at_every_threshold():
     u_amps = np.array([0.5, 0.5, 0.5, 0.0, 1.2j, 2.0, 0.3 - 0.1j])
     w_amps = np.array([0.5, -0.5, 0.0, 0.0, -0.7, 1.5, 0.9j])
-    p_eq, p_neq = _click_probabilities(u_amps, w_amps)
+    p_eq, p_neq = _port_probabilities(u_amps, w_amps)
     eq_only = p_eq * (1.0 - p_neq)
-    law = _equality_law(u_amps, w_amps)
+    law = _port_law(u_amps, w_amps)
     u = _uniforms_at((eq_only, p_eq, eq_only + p_neq), Seed(183).rng(), u_amps.size)
     clicks = collections.Counter()
     for row in u:
@@ -746,27 +804,27 @@ def test_equality_report_matches_the_dense_reference_at_every_threshold():
 
 
 @pytest.mark.parametrize(
-    "table",
+    "ports",
     [
-        # q_max = 0.5, with P = 0 entries on either side
+        # q_max = 0.5, with p = 0 entries on either port
         [[0.3, 0.0, 0.25, 0.1, 0.0], [0.1, 0.5, 0.0, 0.15, 0.0]],
         # q_max = 1
-        [[0.6, 0.0, 0.2], [0.4, 1.0, 0.1]],
+        [[0.6, 0.0, 1.0], [0.4, 1.0, 0.1]],
         # every mode dark
         [[0.0, 0.0], [0.0, 0.0]],
     ],
 )
-def test_sparse_usd_draw_has_the_per_mode_law(table):
-    table = np.array(table)
+def test_sparse_usd_draw_has_the_per_mode_law(ports):
+    ports = np.array(ports)
     runs, per_level = 40, 500
-    levels = np.tile(np.arange(table.shape[1]), per_level).astype(np.uint8)
+    levels = np.tile(np.arange(ports.shape[1]), per_level).astype(np.uint8)
     rng, dense_rng = Seed(170).rng(), Seed(171).rng()
-    law = np.cumsum(table, axis=0)
+    law = _law_of(*ports)
     sparse = np.array([_sparse_usd(law, levels, rng) for _ in range(runs)])
-    dense = np.array([_dense_usd(table, levels, dense_rng) for _ in range(runs)])
+    dense = np.array([_dense_usd(ports, levels, dense_rng) for _ in range(runs)])
     samples = runs * per_level
-    for level, (p_plus, p_minus) in enumerate(table.T):
-        for sign, p in ((1, p_plus), (-1, p_minus)):
+    for level, (p_1, p_2) in enumerate(ports.T):
+        for sign, p in ((1, p_1 * (1.0 - p_2)), (-1, p_2 * (1.0 - p_1))):
             freqs = [np.count_nonzero(d[:, levels == level] == sign) / samples
                      for d in (sparse, dense)]
             sigma = math.sqrt(p * (1.0 - p) / samples)
@@ -835,10 +893,10 @@ def test_detection_draws_scale_with_clicks_not_modes():
     kept, shared = split(phase_encoded_state(key, math.sqrt(alpha_sq)))
     beta = math.sqrt(alpha_sq / (2.0 * n))
     usd_rng = _RecordingGenerator(Seed(175).rng())
-    usd_law = _usd_law(kept.mode_amplitudes, beta)
+    usd_law = _port_law(kept.mode_amplitudes, beta)
     signs = _sparse_usd(usd_law, np.arange(n), usd_rng)
     eq_rng = _RecordingGenerator(Seed(176).rng())
-    eq_law = _equality_law(shared.mode_amplitudes, shared.mode_amplitudes)
+    eq_law = _port_law(shared.mode_amplitudes, shared.mode_amplitudes)
     modes, u = _sparse_events(eq_law[-1].max(), n, eq_rng)
     report = _equality_report(eq_law[:, modes], u, 0.01)
     # About 9 clicks a stage are expected; each costs two draws.
