@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.stats import binom, poisson
+from scipy.stats import binom
 
 from cohsim import (
     ClickPattern,
@@ -31,25 +31,12 @@ def pattern(*bits):
     return ClickPattern(np.array(bits, dtype=bool))
 
 
-def test_decide_all_dark_is_tie():
-    p = pattern(0, 0, 0, 0)
-    assert decide(p, 2) is Outcome.TIE
-    assert decide(p, 0) is decide(p, 4) is Outcome.TIE
-
-
-def test_decide_clicks_only_in_first_set():
-    assert decide(pattern(1, 0, 0, 0), 2) is Outcome.ZERO
-
-
-def test_decide_majority():
-    assert decide(pattern(1, 1, 1, 0, 1, 0), 3) is Outcome.ZERO
-    assert decide(pattern(0, 1, 0, 1, 1, 0), 3) is Outcome.ONE
-
-
 def test_partition_validation():
-    # d0 splits d modes into S_0 = 1..d0 and S_1 = d0+1..d: any integer in 0..d
+    # d0 splits d modes into S_0 = 1..d0 and S_1 = d0+1..d: any integer in 0..d.
+    # Its type and sign are in test_core's refusal table.
     assert decide(pattern(1, 0, 1), 0) is Outcome.ONE
     assert decide(pattern(1, 0, 1), 3) is Outcome.ZERO
+    assert decide(pattern(0, 0, 0, 0), 0) is decide(pattern(0, 0, 0, 0), 4) is Outcome.TIE
     c = ModeCoherentState(np.zeros(2, dtype=complex))
     probs = uniform_block_probs(1.0, 2, 0)
     calls = [
@@ -60,16 +47,6 @@ def test_partition_validation():
     for call in calls:
         with pytest.raises(ValueError, match="d0"):
             call(3)
-        with pytest.raises(ValueError, match="d0"):
-            call(-1)
-        with pytest.raises(TypeError, match="d0"):
-            call(1.0)
-
-
-def test_click_count_stats_vacuum():
-    c = ModeCoherentState(np.zeros(4, dtype=complex))
-    stats = click_count_stats(c, 2)
-    assert stats.mu0 == stats.mu1 == stats.tau == 0.0
 
 
 def test_click_count_stats_two_modes():
@@ -81,6 +58,8 @@ def test_click_count_stats_two_modes():
     assert stats.mu0 == pytest.approx(0.2, abs=1e-12)
     assert stats.tau0 == pytest.approx(0.02, abs=1e-12)
     assert stats.mu1 == 0.0
+    stats = click_count_stats(ModeCoherentState(np.zeros(4, dtype=complex)), 2)
+    assert stats.mu0 == stats.mu1 == stats.tau == 0.0
 
 
 def test_click_count_stats_uniform_hundred_modes():
@@ -89,11 +68,8 @@ def test_click_count_stats_uniform_hundred_modes():
     assert stats.mu0 == pytest.approx(100 * (1 - math.exp(-0.01)), abs=1e-9)
 
 
-def test_poisson_binomial_certain_click():
+def test_poisson_binomial_by_hand():
     np.testing.assert_allclose(poisson_binomial_exact([1.0]), [0.0, 1.0])
-
-
-def test_poisson_binomial_hand_convolution():
     np.testing.assert_allclose(
         poisson_binomial_exact([0.1, 0.1]), [0.81, 0.18, 0.01], atol=1e-15
     )
@@ -102,14 +78,6 @@ def test_poisson_binomial_hand_convolution():
 def test_poisson_binomial_matches_binomial_closed_form():
     pmf = poisson_binomial_exact([0.05] * 20)
     np.testing.assert_allclose(pmf, binom.pmf(np.arange(21), 20, 0.05), atol=1e-12)
-
-
-def test_poisson_binomial_normalization_and_mean():
-    rng = Seed(80).rng()
-    probs = rng.uniform(0, 1, 200)
-    pmf = poisson_binomial_exact(probs)
-    assert abs(pmf.sum() - 1.0) < 1e-10
-    assert np.dot(np.arange(pmf.size), pmf) == pytest.approx(probs.sum(), rel=1e-10)
 
 
 def test_poisson_binomial_input_validation():
@@ -199,27 +167,6 @@ def test_lecam_bound_refuses_negative_event_members():
     assert lecam_bound_check([0.1, 0.2], {np.int64(1)}) == lecam_bound_check([0.1, 0.2], {1})
 
 
-def test_lecam_bound_random_sweep():
-    rng = Seed(81).rng()
-    for _ in range(100):
-        n = int(rng.integers(1, 51))
-        probs = rng.uniform(0.0, 0.2, n)
-        event = set(np.flatnonzero(rng.random(n + 1) < 0.5).tolist())
-        assert lecam_bound_check(probs, event).holds
-
-
-def test_lecam_bound_total_variation_event():
-    # the adversarial event where the pmfs disagree most
-    rng = Seed(82).rng()
-    for _ in range(25):
-        n = int(rng.integers(2, 40))
-        probs = rng.uniform(0.0, 0.3, n)
-        pmf = poisson_binomial_exact(probs)
-        mu = probs.sum()
-        event = {k for k in range(n + 1) if pmf[k] > poisson.pmf(k, mu)}
-        assert lecam_bound_check(probs, event).holds
-
-
 # ---------------------------------------------------------------------------
 # bounded-error success condition
 # ---------------------------------------------------------------------------
@@ -238,12 +185,6 @@ def test_condition_fails_without_photons():
     report = check_success_condition(0.1, 0.0, probs, 10)
     assert report.lhs >= 2.0
     assert not report.holds
-
-
-def test_condition_report_is_algebraically_consistent():
-    probs = uniform_block_probs(0.95, 1000, 1000)
-    report = check_success_condition(0.2, 20.0, probs, 1000)
-    assert report.lhs + report.p_alpha_lower_bound == pytest.approx(1.0, abs=1e-12)
 
 
 def test_condition_holds_for_small_probabilities_large_mu():
@@ -294,9 +235,8 @@ def test_condition_validates_inputs():
         check_success_condition(0.1, 1.0, probs, 5)  # S_0 mass 0.45
     with pytest.raises(ValueError):
         check_success_condition(0.6, 1.0, probs, 10)  # epsilon too large
-    for mu in (-1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="mu"):
-            check_success_condition(0.1, mu, probs, 10)
+    with pytest.raises(ValueError, match="mu"):
+        check_success_condition(0.1, -1.0, probs, 10)
     for bad in (probs * 0.5, np.full(20, math.nan), -probs):
         with pytest.raises(ValueError, match="probs_qubit"):
             check_success_condition(0.1, 1.0, bad, 10)
@@ -333,25 +273,6 @@ def test_condition_evaluates_single_set_instance():
     expected_tau = d * (-math.expm1(-16.0 / d)) ** 2
     assert report.stats.tau == pytest.approx(expected_tau, rel=1e-12)
     assert report.lhs + report.p_alpha_lower_bound == pytest.approx(1.0, abs=1e-12)
-
-
-def test_expected_clicks_below_photon_budget():
-    # sum over a set of 1 - e^{-mu p} never exceeds mu * (set mass)
-    rng = Seed(83).rng()
-    for _ in range(30):
-        d0 = int(rng.integers(1, 50))
-        d1 = int(rng.integers(1, 50))
-        raw = rng.uniform(0.01, 1.0, d0 + d1)
-        probs = raw / raw.sum()
-        mass0 = probs[:d0].sum()
-        if mass0 <= 0.5:
-            probs = probs[::-1].copy()
-            d0, d1 = d1, d0
-            mass0 = probs[:d0].sum()
-        mu = float(rng.uniform(0.1, 20.0))
-        report = check_success_condition(0.25, mu, probs, d0)
-        assert report.stats.mu0 <= mass0 * mu + 1e-12
-        assert report.stats.mu1 <= (1.0 - mass0) * mu + 1e-12
 
 
 def exact_win_probability(pmf0, pmf1):
@@ -408,12 +329,8 @@ def constant_counts(c0, c1):
     return lambda rng, size: np.tile(np.array([c0, c1], dtype=np.int64), (size, 1))
 
 
-def test_mc_always_correct_generator():
-    est = estimate_success_probability(constant_counts(2, 0), 500, Seed(85))
-    assert est.p_hat == 1.0
-
-
-def test_mc_vacuum_with_ties_as_failure():
+def test_mc_counts_sure_successes_and_ties_as_failures():
+    assert estimate_success_probability(constant_counts(2, 0), 500, Seed(85)).p_hat == 1.0
     est = estimate_success_probability(constant_counts(0, 0), 500, Seed(86))
     assert est.p_hat == 0.0
     assert est.ties == 500
@@ -460,15 +377,6 @@ def test_mc_makes_one_generator_per_estimate_at_any_block_size(monkeypatch):
         calls.clear()
         estimate_success_probability(sampler, 100, Seed(92))
         assert calls == [Seed(92)]
-
-
-def test_mc_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        estimate_success_probability(constant_counts(1, 0), 0, Seed(89))
-    # True ran one trial, and 2.5 and "10" raised TypeErrors that did not name trials.
-    for trials in (True, 2.5, "10"):
-        with pytest.raises(TypeError, match="trials"):
-            estimate_success_probability(constant_counts(1, 0), trials, Seed(89))
 
 
 @pytest.mark.parametrize(
@@ -533,7 +441,8 @@ def test_two_block_generator_count_distribution():
 
 def test_decide_agrees_with_the_estimator_success_event():
     # decide's ZERO on a pattern with counts (c0, c1) is the estimator's success,
-    # and every outcome is valued sign(c0 - c1), the estimator's own comparison
+    # and every outcome is valued sign(c0 - c1), the estimator's own comparison:
+    # the all-dark pattern is a TIE, a majority in S_0 is ZERO and one in S_1 ONE
     for c0 in range(4):
         for c1 in range(4):
             bits = [1] * c0 + [0] * (3 - c0) + [1] * c1 + [0] * (3 - c1)

