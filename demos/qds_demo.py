@@ -18,9 +18,7 @@ print(f"  accepted by both: {transcript.accepted_by_both}")
 print()
 
 print("forged reveal (20% of revealed key bits flipped, brighter pulses):")
-tamper = QdsConfig(
-    n=512, alpha_sq=36.0, tamper_model="flip_revealed", tamper_params={"fraction": 0.2}
-)
+tamper = QdsConfig(n=512, alpha_sq=36.0, tamper_model="flip_revealed", tamper_fraction=0.2)
 rejections = 0
 runs = 200
 for k in range(runs):
@@ -34,9 +32,7 @@ print(f"  sample verdict: mismatches = {t.bob_verdict.mismatches}"
 print()
 
 print("repudiation attempt (Bob's and Charlie's states differ in 20% of modes):")
-repud = QdsConfig(
-    n=512, alpha_sq=36.0, tamper_model="repudiation", tamper_params={"fraction": 0.2}
-)
+repud = QdsConfig(n=512, alpha_sq=36.0, tamper_model="repudiation", tamper_fraction=0.2)
 aborts = sum(run_qds(repud, Seed(42).child(k)).aborted for k in range(runs))
 print(f"  the comparison stage aborted {aborts}/{runs} runs")
 t = run_qds(repud, Seed(42).child(0))

@@ -68,10 +68,16 @@ class Matching:
         return ",".join(f"{i}-{j}" for i, j in self.pairs)
 
 
-def random_matching(n: int, rng: np.random.Generator) -> Matching:
-    """Uniformly random perfect matching on {1..n}."""
+def _mode_count(n) -> int:
+    """``n`` as the mode count of a perfect matching: an even integer of at least 2."""
     if (n := _index(n, "n", 2)) % 2:
         raise ValueError(f"n must be even, got {n}")
+    return n
+
+
+def random_matching(n: int, rng: np.random.Generator) -> Matching:
+    """Uniformly random perfect matching on {1..n}."""
+    n = _mode_count(n)
     perm = rng.permutation(n) + 1
     pairs = tuple((int(perm[2 * t]), int(perm[2 * t + 1])) for t in range(n // 2))
     return Matching(pairs)
@@ -145,7 +151,7 @@ def run_experiment(
     per experiment from the stream ``seed.child("setup")``.  All trials draw,
     one after another, from the one stream ``seed.child("trials")``.
     """
-    trials, alpha = _index(trials, "trials", 1), _complex(alpha, "alpha")
+    n, trials, alpha = _mode_count(n), _index(trials, "trials", 1), _complex(alpha, "alpha")
     setup_rng = seed.child("setup").rng()
     if matching is None:
         matching = random_matching(n, setup_rng)

@@ -169,13 +169,13 @@ def _poisson_deviance(mu: float, delta: float) -> float:
     v = 1.0 / (1.0 + 2.0 * (mu / delta))
     if abs(v) >= 0.1:
         return (mu + delta) * math.log1p(delta / mu) - delta
-    total, power, j = 0.0, 1.0, 1
-    while True:
+    total, power = 0.0, 1.0
+    for j in range(1, 12):  # v^2 < 0.01, so by the tenth term the rest is below one ulp of the sum
         power *= v * v
-        nxt = total + power / (2 * j + 1)
-        if nxt == total:
-            return delta * (v + (1.0 + v) * total)
-        total, j = nxt, j + 1
+        if (nxt := total + power / (2 * j + 1)) == total:
+            break
+        total = nxt
+    return delta * (v + (1.0 + v) * total)
 
 
 def poisson_tail_bound(mu: float, delta: float) -> float:

@@ -24,9 +24,9 @@ six steps:
 
 Everything is ideal (lossless optics, perfect detectors, shared phase
 reference), so honest runs abort never and verify with zero mismatches.
-Tampering is modeled explicitly: ``flip_revealed`` corrupts a fraction of
-the revealed key bits, ``repudiation`` makes Alice send Charlie states that
-differ from Bob's in a fraction of the modes.  Every detection stage is one
+Tampering is modeled explicitly: ``flip_revealed`` corrupts a fraction
+``tamper_fraction`` of the revealed key bits, ``repudiation`` makes Alice send
+Charlie states that differ from Bob's in that fraction of the modes.  Every detection stage is one
 interferometer, two inputs on a balanced beam splitter with a threshold
 detector per port, and one port law gives its thresholds (a, p_1, a + p_2).
 A ``QdsConfig`` computes that law once per amplitude level for all its runs,
@@ -42,9 +42,8 @@ an honest run costs its clicks, not n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
-from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -145,7 +144,9 @@ def _sparse_events(q_max: float, n: int, rng: np.random.Generator):
     chunk = int(n * q_max + 6.0 * math.sqrt(n * q_max)) + 8
     ends = lambda: np.minimum(rng.geometric(q_max, chunk), n + 1).cumsum()
     modes = ends() - 1
-    while modes[-1] < n:
+    for _ in range(-(-n // chunk)):  # every gap is at least 1: a round passes chunk modes or more
+        if modes[-1] >= n:
+            break
         modes = np.concatenate((modes, modes[-1] + ends()))
     modes = modes[: modes.searchsorted(n)]
     return modes, rng.random(modes.size) * q_max
@@ -234,7 +235,7 @@ def _verdict(key_bits, signs, threshold: float) -> VerificationVerdict:
 
 @dataclass(frozen=True)
 class QdsConfig:
-    """Run parameters; thresholds 0 <= s_a < s_v < 1; tamper_params kept as a read-only checked copy."""
+    """Run parameters; thresholds 0 <= s_a < s_v < 1; tamper_fraction in (0, 1] under a tamper model, else 0."""
 
     n: int = 512
     alpha_sq: float = 9.0
@@ -242,16 +243,14 @@ class QdsConfig:
     s_a: float = 0.02
     s_v: float = 0.05
     tamper_model: str = "none"
-    tamper_params: dict | MappingProxyType = field(default_factory=dict)
+    tamper_fraction: float = 0.0
     message_bit: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _index(self.n, "n", 1))
         object.__setattr__(self, "message_bit", _index(self.message_bit, "message_bit"))
-        for name in ("alpha_sq", "f", "s_a", "s_v"):
+        for name in ("alpha_sq", "f", "s_a", "s_v", "tamper_fraction"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
-        if not isinstance(self.tamper_params, (dict, MappingProxyType)):
-            raise TypeError(f"tamper_params must be an object, got {self.tamper_params!r}")
         if self.alpha_sq <= 0.0:
             raise ValueError("alpha_sq must be positive")
         if self.alpha_sq / self.n > 1e16:
@@ -266,22 +265,12 @@ class QdsConfig:
             raise ValueError(
                 f"unknown tamper model {self.tamper_model!r}; expected one of {TAMPER_MODELS}"
             )
-        allowed = () if self.tamper_model == "none" else ("fraction",)
-        for key in self.tamper_params:
-            if key not in allowed:
-                raise ValueError(f"tamper model {self.tamper_model!r} takes no tamper_params key {key!r}")
-        if allowed and "fraction" not in self.tamper_params:
-            raise ValueError("tamper_params must set 'fraction' in (0, 1]")
-        params = {key: _real(value, key) for key, value in self.tamper_params.items()}
-        if allowed and not 0.0 < params["fraction"] <= 1.0:
-            raise ValueError("fraction must lie in (0, 1]")
-        object.__setattr__(self, "tamper_params", MappingProxyType(params))
+        if self.tamper_model == "none" and self.tamper_fraction != 0.0:
+            raise ValueError("tamper_fraction must be 0 under tamper model 'none'")
+        if self.tamper_model != "none" and not 0.0 < self.tamper_fraction <= 1.0:
+            raise ValueError(f"tamper_fraction must lie in (0, 1] under tamper model {self.tamper_model!r}")
         if self.message_bit not in (0, 1):
             raise ValueError("message_bit must be 0 or 1")
-
-    def __hash__(self) -> int:
-        scalars = tuple(getattr(self, spec.name) for spec in fields(self) if spec.name != "tamper_params")
-        return hash((scalars, tuple(sorted(self.tamper_params.items()))))
 
     @cached_property
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -348,10 +337,9 @@ def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
     rng = seed.rng()
     keys = keygen(n, rng)
     records = [StageRecord("keygen", {"n": n})]
-    fraction = config.tamper_params.get("fraction")
     charlie_keys = keys
     if config.tamper_model == "repudiation":
-        charlie_keys = keys ^ np.array([_flip_mask(n, fraction, rng) for _ in (0, 1)])
+        charlie_keys = keys ^ np.array([_flip_mask(n, config.tamper_fraction, rng) for _ in (0, 1)])
 
     beta = math.sqrt(config.alpha_sq / (2.0 * n))
     distribution = {"alpha_sq": config.alpha_sq, "usd_reference_magnitude": beta}
@@ -382,7 +370,7 @@ def run_qds(config: QdsConfig, seed: Seed) -> QdsTranscript:
     b = config.message_bit
     revealed, flipped_bits = keys[b], 0
     if config.tamper_model == "flip_revealed":
-        flips = _flip_mask(n, fraction, rng)
+        flips = _flip_mask(n, config.tamper_fraction, rng)
         revealed, flipped_bits = revealed ^ flips, int(np.count_nonzero(flips))
     records.append(StageRecord("reveal", {"message_bit": b, "flipped_bits": flipped_bits}))
 

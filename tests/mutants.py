@@ -28,6 +28,8 @@ Recorded mutants that no longer apply to today's code, and why:
   ``_usd_signs``.
 * ``_min_one_inverse`` with ``mu < 1.0`` for ``mu <= 1.0`` is equivalent
   (both arms give 1 at mu = 1); the entry drops the first arm instead.
+* "QdsConfig keeps a read-only checked copy of tamper_params": the tamper
+  fraction is the scalar field ``tamper_fraction`` now, so no mapping is copied.
 * The ROADMAP's "mutants that must fail" for the hidden-matching law, the QDS
   exact laws' class draws and mode-class transcripts name code that does not
   exist yet.
@@ -96,6 +98,10 @@ MUTANTS = (
     # Hidden matching.
     Mutant(_HM, "for parity in (0, 1))", "for parity in (1, 0))",
            'port 2t-1 ("+") announces parity 0 and port 2t parity 1'),
+    Mutant(_HM, 'n, trials, alpha = _mode_count(n), _index(trials, "trials", 1)',
+           'trials, alpha = _index(trials, "trials", 1)', "run_experiment checks n before it compares a given matching"),
+    Mutant(_HM, 'if (n := _index(n, "n", 2)) % 2:', 'if (n := _index(n, "n", 2)) % 1:',
+           "a perfect matching's n is even"),
     Mutant(_HM, "right = bits[i] ^ bits[j] == np.asarray(parities)",
            "right = bits[i] ^ bits[j] != np.asarray(parities)", "an answer is right when its parity is x_i XOR x_j"),
     # QDS: optics and detection.
@@ -142,8 +148,12 @@ MUTANTS = (
            "verify_message refuses a threshold that is not a finite real"),
     Mutant(_QDS, "if self.alpha_sq / self.n > 1e16:", "if self.alpha_sq / self.n >= 1e16:",
            "a power per mode of exactly 1e16 is valid"),
-    Mutant(_QDS, 'object.__setattr__(self, "tamper_params", MappingProxyType(params))', "",
-           "QdsConfig keeps a read-only checked copy of tamper_params"),
+    Mutant(_QDS, 'if self.tamper_model == "none" and self.tamper_fraction != 0.0:', "if False:",
+           "tamper model 'none' refuses a non-zero tamper_fraction"),
+    Mutant(_QDS, "not 0.0 < self.tamper_fraction <= 1.0", "not 0.0 <= self.tamper_fraction <= 1.0",
+           "a tamper model refuses tamper_fraction 0"),
+    Mutant(_QDS, "not 0.0 < self.tamper_fraction <= 1.0", "not 0.0 < self.tamper_fraction < 1.0",
+           "a tamper model accepts tamper_fraction 1"),
     # CLI.
     Mutant(_CLI, 'trials = _index(trials, "trials", 1)', "pass",
            "a qds config's trials is a positive integer, or exit 1"),

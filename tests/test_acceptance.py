@@ -330,7 +330,7 @@ def test_criterion_8_qds():
     # mismatch statistics to bite; the criterion thresholds are unchanged)
     tamper = QdsConfig(
         n=512, alpha_sq=36.0,
-        tamper_model="flip_revealed", tamper_params={"fraction": 0.2},
+        tamper_model="flip_revealed", tamper_fraction=0.2,
     )
     rejections = sum(
         not run_qds(tamper, Seed(1051).child(k)).bob_verdict.accept for k in range(1000)
@@ -340,7 +340,7 @@ def test_criterion_8_qds():
     # repudiation: states differing in 20% of modes must abort at f = 0.01
     repud = QdsConfig(
         n=512, alpha_sq=36.0, f=0.01,
-        tamper_model="repudiation", tamper_params={"fraction": 0.2},
+        tamper_model="repudiation", tamper_fraction=0.2,
     )
     aborts = sum(run_qds(repud, Seed(1052).child(k)).aborted for k in range(1000))
     assert aborts / 1000 > 0.99

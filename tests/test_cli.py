@@ -197,7 +197,7 @@ def test_qds_honest_config_accepts(capsys, tmp_path):
 def test_qds_tamper_config_rejects(capsys, tmp_path):
     path = write_config(
         tmp_path, n=512, alpha_sq=36.0,
-        tamper_model="flip_revealed", tamper_params={"fraction": 0.2},
+        tamper_model="flip_revealed", tamper_fraction=0.2,
         trials=5,
     )
     code, out, _ = run_cli(capsys, "qds", "--config", str(path))
@@ -205,6 +205,19 @@ def test_qds_tamper_config_rejects(capsys, tmp_path):
     _, rows = parse_csv(out)
     bob = [r for r in rows if r[1] == "summary" and r[2] == "bob_accepts"]
     assert all(r[3] == "false" for r in bob)
+
+
+def test_readme_signature_config_runs(capsys, tmp_path):
+    # The JSON block README.md shows under "A signature config is a JSON object".
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A signature config is a JSON object:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "qds.json"
+    path.write_text(block)
+    code, out, err = run_cli(capsys, "qds", "--config", str(path))
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    summary = [r for r in rows if r[1] == "summary" and r[2] == "accepted_by_both"]
+    assert len(summary) == json.loads(block)["trials"]
 
 
 def test_qds_vanishing_reference_magnitude_exits_zero(capsys, tmp_path):
@@ -309,13 +322,14 @@ def test_reals_use_twelve_significant_digits(capsys):
         ({"n": 512.5}, "n"),
         ({"seed": 1.5}, "seed"),
         ({"seed": 2**64}, "seed"),
-        ({"tamper_params": []}, "tamper_params"),
-        ({"tamper_model": "repudiation", "tamper_params": []}, "tamper_params"),
+        ({"tamper_fraction": []}, "tamper_fraction"),
+        ({"tamper_model": "repudiation", "tamper_fraction": "0.2"}, "tamper_fraction"),
         ({"trials": 2.7}, "trials"),
         ({"trials": False}, "trials"),
-        ({"tamper_params": {"fraction": 0.2}}, "fraction"),
-        ({"tamper_model": "flip_revealed", "tamper_params": {"fraction": 0.2, "fracton": 0.5}},
-         "fracton"),
+        ({"tamper_fraction": 0.2}, "tamper_fraction"),
+        ({"tamper_model": "flip_revealed", "tamper_fraction": 0.2, "fracton": 0.5}, "fracton"),
+        # The fraction's former home, a one-key object, is an unknown field.
+        ({"tamper_params": {"fraction": 0.2}}, "tamper_params"),
     ],
 )
 def test_qds_config_type_errors_exit_one_naming_the_field(capsys, tmp_path, overrides, field):
@@ -385,11 +399,10 @@ _field_values = st.one_of(
     st.integers(0, 64),
     st.floats(0.0, 1.0),
     st.sampled_from(TAMPER_MODELS),
-    st.fixed_dictionaries({"fraction": _json_scalars | st.floats(0.0, 1.0)}),
     _json_values,
 )
 _field_names = st.sampled_from(
-    ["n", "alpha_sq", "f", "s_a", "s_v", "tamper_model", "tamper_params",
+    ["n", "alpha_sq", "f", "s_a", "s_v", "tamper_model", "tamper_fraction",
      "message_bit", "trials", "seed"]
 )
 # Well-typed configs whose values may break the range checks, a valid config
@@ -402,7 +415,7 @@ _typed_configs = st.fixed_dictionaries(
         "s_a": st.floats(0.0, 0.5),
         "s_v": st.floats(0.0, 1.0),
         "tamper_model": st.sampled_from(TAMPER_MODELS),
-        "tamper_params": st.just({}) | st.fixed_dictionaries({"fraction": st.floats(0.0, 1.0)}),
+        "tamper_fraction": st.just(0.0) | st.floats(0.0, 1.0),
         "message_bit": st.integers(0, 1),
         "trials": st.integers(0, 3),
         "seed": st.integers(0, 2**64),

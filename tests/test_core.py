@@ -290,7 +290,9 @@ ARGUMENTS = {
     "two_block_trial_generator:d0": Row("count", lambda d0: cohsim.two_block_trial_generator(d0, 0.5, 1, 0.5), low=0),
     "two_block_trial_generator:d1": Row("count", lambda d1: cohsim.two_block_trial_generator(1, 0.5, d1, 0.5), low=0),
     "random_matching:n": Row("count", lambda n: cohsim.random_matching(n, _rng()), low=2),
-    "run_experiment:n": Row("count", lambda n: cohsim.run_experiment(n, None, None, 1.0, 1, Seed(13)), low=2),
+    # n is checked before a matching is compared (given) or drawn (None).
+    "run_experiment:n": Row("count", lambda n: [cohsim.run_experiment(n, matching, None, 1.0, 1, Seed(13))
+                                                for matching in (cohsim.Matching(((1, 2),)), None)], low=2),
     "run_experiment:trials": Row("count", lambda trials: cohsim.run_experiment(2, None, None, 1.0, trials, Seed(13))),
     "keygen:n": Row("count", lambda n: cohsim.keygen(n, _rng())),
     "QdsConfig:n": Row("count", lambda n: cohsim.QdsConfig(n=n)),
@@ -306,9 +308,7 @@ ARGUMENTS = {
     "check_success_condition:mu": Row("real", lambda mu: cohsim.check_success_condition(0.1, mu, [1.0], 1)),
     "two_block_trial_generator:p_click_0": Row("real", lambda p: cohsim.two_block_trial_generator(1, p, 1, 0.5)),
     "two_block_trial_generator:p_click_1": Row("real", lambda p: cohsim.two_block_trial_generator(1, 0.5, 1, p)),
-    **{f"QdsConfig:{field}": _qds_field(field) for field in ("alpha_sq", "f", "s_a", "s_v")},
-    "QdsConfig:fraction": Row("real", lambda fraction: cohsim.QdsConfig(
-        tamper_model="repudiation", tamper_params={"fraction": fraction})),
+    **{f"QdsConfig:{field}": _qds_field(field) for field in ("alpha_sq", "f", "s_a", "s_v", "tamper_fraction")},
     "verify_message:threshold": Row("real", lambda threshold: cohsim.verify_message(
         "01", np.array([1, -1], dtype=np.int8), threshold)),
     "equality_test:f": Row("real", lambda f: cohsim.equality_test(_STATE, _STATE, f, _rng())),
@@ -402,7 +402,7 @@ def test_every_public_argument_has_a_row_of_its_kind():
         for parameter in inspect.signature(value).parameters.values()
         if (kind := _KINDS.get(getattr(parameter.annotation, "__name__", parameter.annotation)))
     }
-    rows = {key: row.kind for key, row in ARGUMENTS.items() if key != "QdsConfig:fraction"}
+    rows = {key: row.kind for key, row in ARGUMENTS.items()}
     assert {key: kind for key, kind in found.items() if key not in UNCHECKED} == rows
 
 

@@ -257,3 +257,10 @@ def test_run_experiment_validates_inputs():
         run_experiment(4, FIG_MATCHING, None, 1.0, 100, Seed(109))
     with pytest.raises(ValueError, match="2 bits"):
         run_experiment(6, FIG_MATCHING, "01", 1.0, 100, Seed(109))
+    # With a matching given, n = 2.0 ran and n = True was "matching covers 2 modes, expected True".
+    for n in (2.0, True):
+        with pytest.raises(TypeError, match="^n must be an integer"):
+            run_experiment(n, Matching(((1, 2),)), "01", 1.0, 3, Seed(1))
+    for matching in (Matching(((1, 2),)), None):
+        with pytest.raises(ValueError, match="^n must be even, got 3"):
+            run_experiment(3, matching, None, 1.0, 3, Seed(1))

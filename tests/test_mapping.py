@@ -317,6 +317,12 @@ def test_poisson_deviance_matches_a_sixty_digit_evaluation(mu):
             assert _poisson_deviance(mu, delta) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
+def test_poisson_deviance_series_ends_on_a_nan_argument():
+    # The series ran until its sum stopped changing, which a nan sum never does.
+    assert math.isnan(_poisson_deviance(math.nan, 1.0))
+    assert math.isnan(_poisson_deviance(1.0, math.nan))
+
+
 def test_effective_dimension_bound_small_cases():
     b = effective_dimension_bound(1.0, 2, 2)
     # 2 * Delta * C(1 + 2 + 1, 1) = 4 * 4

@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import warnings
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -319,7 +318,7 @@ def test_tamper_masks_flip_round_fraction_n_distinct_positions_and_at_least_one(
     rng = Seed(184).rng()
     for n, fraction, flips in ((100, 0.5, 50), (2, 0.1, 1), (1, 0.2, 1)):
         assert int(_flip_mask(n, fraction, rng).sum()) == flips
-    config = QdsConfig(n=2, tamper_model="flip_revealed", tamper_params={"fraction": 0.1})
+    config = QdsConfig(n=2, tamper_model="flip_revealed", tamper_fraction=0.1)
     reveal = next(r.data for r in run_qds(config, Seed(1)).records if r.stage == "reveal")
     assert reveal["flipped_bits"] == 1
 
@@ -339,7 +338,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         QdsConfig(tamper_model="jam")
     with pytest.raises(ValueError):
-        QdsConfig(tamper_model="flip_revealed")  # missing fraction
+        QdsConfig(tamper_model="flip_revealed")  # tamper_fraction left at 0
     with pytest.raises(ValueError):
         QdsConfig.from_dict({"n": 8, "bogus": 1})
 
@@ -372,11 +371,10 @@ def test_tampered_runs_follow_their_exact_binomial_laws():
     p_accept = joint[share < 0.2].sum()
     assert p_abort == pytest.approx(0.71114, abs=1e-5)
     assert p_accept == pytest.approx(0.50253, abs=1e-5)
-    params = {"fraction": 0.2}
     repudiation = QdsConfig(n=n, alpha_sq=alpha_sq, f=0.2,
-                            tamper_model="repudiation", tamper_params=params)
+                            tamper_model="repudiation", tamper_fraction=0.2)
     flip = QdsConfig(n=n, alpha_sq=alpha_sq, s_a=0.2, s_v=0.5,
-                     tamper_model="flip_revealed", tamper_params=params)
+                     tamper_model="flip_revealed", tamper_fraction=0.2)
     bob_accepts = lambda t: not t.aborted and t.bob_verdict.accept
     laws = ((repudiation, Seed(178), lambda t: t.aborted, p_abort),
             (flip, Seed(179), bob_accepts, p_accept))
@@ -406,28 +404,26 @@ def test_runs_and_stages_draw_from_pairwise_distinct_streams(monkeypatch):
     assert len(heads) == len(streams)
 
 
-@pytest.mark.parametrize("value", [[], "fraction"])
-def test_config_tamper_params_must_be_an_object(value):
-    # The count and real fields, and the fraction, are in test_core's refusal table.
-    with pytest.raises(TypeError, match="^tamper_params must be an object"):
-        QdsConfig.from_dict({"tamper_params": value})
+_OUT_OF_RANGE = (0.0, -0.0, -0.2, 1.0000000000000002, 7.0)
 
 
-@pytest.mark.parametrize(
-    "model, params, key",
-    [
-        ("none", {"fraction": 7}, "fraction"),
-        ("flip_revealed", {"fraction": 0.2, "fracton": 0.5}, "fracton"),
-        ("repudiation", {"fraction": 0.2, "seed": 1}, "seed"),
-    ],
-)
-def test_config_rejects_stray_tamper_params(model, params, key):
-    with pytest.raises(ValueError, match=f"tamper_params key '{key}'"):
-        QdsConfig(tamper_model=model, tamper_params=params)
+@pytest.mark.parametrize("model, refused, accepted", [
+    # {"fraction": 7} was refused under "none" as a stray key; a non-zero tamper_fraction is too.
+    ("none", (7, 0.2, 5e-324, -0.2), (0, -0.0)),
+    ("flip_revealed", _OUT_OF_RANGE, (5e-324, 0.2, 1)),
+    ("repudiation", _OUT_OF_RANGE, (5e-324, 0.2, 1)),
+])
+def test_tamper_fraction_is_zero_under_none_and_in_the_unit_interval_under_a_tamper_model(model, refused, accepted):
+    # The field's type and finiteness are in test_core's refusal table.
+    for fraction in refused:
+        with pytest.raises(ValueError, match="^tamper_fraction must"):
+            QdsConfig(tamper_model=model, tamper_fraction=fraction)
+    for fraction in accepted:
+        assert QdsConfig(tamper_model=model, tamper_fraction=fraction).tamper_fraction == fraction
 
 
 def test_config_accepts_integer_valued_reals():
-    config = QdsConfig.from_dict({"n": 8, "alpha_sq": 9, "s_a": 0, "tamper_params": {}})
+    config = QdsConfig.from_dict({"n": 8, "alpha_sq": 9, "s_a": 0, "tamper_fraction": 0})
     assert config.alpha_sq == 9 and config.s_a == 0
 
 
@@ -458,10 +454,9 @@ def _reference_run(config, seed):
     beta = math.sqrt(config.alpha_sq / (2.0 * n))
     rng = seed.rng()
     keys = keygen(n, rng)
-    fraction = config.tamper_params.get("fraction")
     masks = {0: 0, 1: 0}
     if config.tamper_model == "repudiation":
-        masks = {b: _flip_mask(n, fraction, rng) for b in (0, 1)}
+        masks = {b: _flip_mask(n, config.tamper_fraction, rng) for b in (0, 1)}
     records = [
         StageRecord("keygen", {"n": n}),
         StageRecord("distribution", {"alpha_sq": config.alpha_sq, "usd_reference_magnitude": beta}),
@@ -487,7 +482,7 @@ def _reference_run(config, seed):
     revealed = keys[b_msg]
     flipped = np.zeros(n, dtype=np.uint8)
     if config.tamper_model == "flip_revealed":
-        flipped = _flip_mask(n, fraction, rng)
+        flipped = _flip_mask(n, config.tamper_fraction, rng)
     records.append(StageRecord("reveal", {"message_bit": b_msg, "flipped_bits": int(flipped.sum())}))
     stages = (("authentication", "bob", config.s_a), ("verification", "charlie", config.s_v))
     for stage, who, threshold in stages:
@@ -502,11 +497,11 @@ def _reference_run(config, seed):
 @pytest.mark.parametrize("tamper_model", ["none", "flip_revealed", "repudiation"])
 @pytest.mark.parametrize("n", [1, 2, 17, 512])
 def test_run_qds_matches_the_per_mode_reference(n, tamper_model):
-    params = {} if tamper_model == "none" else {"fraction": 0.2}
+    fraction = 0.0 if tamper_model == "none" else 0.2
     for k, alpha_sq in enumerate((0.5, 9.0, 36.0, 400.0)):
         config = QdsConfig(
             n=n, alpha_sq=alpha_sq, f=0.05, message_bit=k % 2,
-            tamper_model=tamper_model, tamper_params=params,
+            tamper_model=tamper_model, tamper_fraction=fraction,
         )
         seed = Seed(150).child(n, tamper_model, k)
         assert list(run_qds(config, seed).records) == _reference_run(config, seed)
@@ -526,8 +521,8 @@ def test_run_qds_evaluates_its_laws_once_per_config(monkeypatch, tamper_model):
     calls = []
     law = qds._port_law
     monkeypatch.setattr(qds, "_port_law", lambda u, w: calls.append(1) or law(u, w))
-    params = {} if tamper_model == "none" else {"fraction": 0.01}
-    config = QdsConfig(n=512, alpha_sq=36.0, tamper_model=tamper_model, tamper_params=params)
+    fraction = 0.0 if tamper_model == "none" else 0.01
+    config = QdsConfig(n=512, alpha_sq=36.0, tamper_model=tamper_model, tamper_fraction=fraction)
     for run in range(50):
         run_qds(config, Seed(152).child(run))
     assert len(calls) == 2
@@ -552,34 +547,20 @@ def test_each_stage_thins_at_its_own_laws_rate():
     assert usd_records() == before
 
 
-def test_config_keeps_a_read_only_copy_of_the_tamper_params():
-    # The caller's dict was kept: a fraction changed after the check reached run_qds.
-    params = {"fraction": 0.2}
-    config = QdsConfig(n=16, tamper_model="flip_revealed", tamper_params=params)
-    before = run_qds(config, Seed(1)).records
-    params["fraction"] = 7.0
-    assert config.tamper_params == {"fraction": 0.2}
-    assert run_qds(config, Seed(1)).records == before
-    with pytest.raises(TypeError):
-        config.tamper_params["fraction"] = 0.9
-    assert config == QdsConfig(n=16, tamper_model="flip_revealed", tamper_params={"fraction": 0.2})
-    assert dataclasses.replace(config) == config
-    whole = QdsConfig(tamper_model="repudiation", tamper_params={"fraction": np.int64(1)})
-    assert type(whole.tamper_params["fraction"]) is float
-
-
 def test_equal_configs_hash_equal_and_key_a_dict():
-    # hash(QdsConfig()) raised TypeError: the tamper_params mapping proxy is unhashable.
-    params = {"fraction": 0.2}
+    # hash(QdsConfig()) raised TypeError while the fraction sat in a mapping.
     spellings = [
-        QdsConfig(n=16, tamper_model="repudiation", tamper_params=params),
-        QdsConfig(n=np.int64(16), tamper_model="repudiation", tamper_params=MappingProxyType(params)),
+        QdsConfig(n=16, tamper_model="repudiation", tamper_fraction=0.2),
+        QdsConfig(n=np.int64(16), tamper_model="repudiation", tamper_fraction=np.float64(0.2)),
     ]
     assert spellings[0] == spellings[1] and hash(spellings[0]) == hash(spellings[1])
-    assert hash(QdsConfig()) == hash(QdsConfig(n=np.int64(512), tamper_params=MappingProxyType({})))
+    assert hash(QdsConfig()) == hash(QdsConfig(n=np.int64(512), tamper_fraction=np.int64(0)))
     cache = {QdsConfig(): "default", spellings[0]: "repudiation"}
     assert cache[QdsConfig(n=512)] == "default" and cache[spellings[1]] == "repudiation"
-    assert QdsConfig(n=17, tamper_model="repudiation", tamper_params=params) not in cache
+    assert QdsConfig(n=17, tamper_model="repudiation", tamper_fraction=0.2) not in cache
+    assert dataclasses.replace(spellings[1]) == spellings[0]
+    whole = QdsConfig(tamper_model="repudiation", tamper_fraction=np.int64(1))
+    assert type(whole.tamper_fraction) is float
 
 
 def test_vanishing_reference_magnitude_is_inconclusive_without_warnings():
