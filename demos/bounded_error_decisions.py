@@ -56,4 +56,5 @@ click = -np.expm1(-mu * probs)
 sampler = two_block_trial_generator(d0, float(click[0]), d1, float(click[-1]))
 mc = estimate_success_probability(sampler, 20_000, Seed(21))
 print(f"  guaranteed success >= {rep.p_alpha_lower_bound:.4f}")
-print(f"  observed p_hat     =  {mc.p_hat:.4f} +- {mc.ci95:.4f} (ties = {mc.ties})")
+print(f"  observed p_hat     =  {mc.p_hat:.4f}, Wilson 95% interval "
+      f"[{mc.ci95_low:.4f}, {mc.ci95_high:.4f}] (ties = {mc.ties})")

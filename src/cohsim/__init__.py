@@ -38,8 +38,6 @@ from .mapping import (
 from .detection import (
     ClickPattern,
     click_probabilities,
-    multinomial_oracle,
-    photon_count_probability,
     poissonized_repetition_oracle,
     sample_click_pattern,
     sample_photon_numbers,

@@ -153,7 +153,7 @@ def _cmd_hidden_matching(args):
 
 _THM_COLUMNS = [
     "check", "instance", "mu", "lhs", "threshold", "holds",
-    "mu0", "mu1", "tau", "p_hat", "ci95",
+    "mu0", "mu1", "tau", "p_hat", "ci95_low", "ci95_high",
 ]
 
 # (p_s, epsilon, mu, d0, d1): uniform qubit probabilities within each block.
@@ -181,7 +181,7 @@ def _cmd_thm_check(args):
         bound = mapping.effective_dimension_bound(1.0, 5, d)
         ratio = bound.log2_d_alpha_upper / math.log2(d)
         rows.append(
-            ["dim-bound", i, 1.0, ratio, 6.5, ratio <= 6.5, "", "", "", "", ""]
+            ["dim-bound", i, 1.0, ratio, 6.5, ratio <= 6.5, "", "", "", "", "", ""]
         )
 
     # Poisson-approximation bound on random Poisson-binomial instances.
@@ -194,7 +194,7 @@ def _cmd_thm_check(args):
         rows.append(
             [
                 "poisson-approx", i, float(probs.sum()), check.lhs, check.bound,
-                check.holds, "", "", "", "", "",
+                check.holds, "", "", "", "", "", "",
             ]
         )
 
@@ -204,17 +204,17 @@ def _cmd_thm_check(args):
     for i, (p_s, eps, mu, d0, d1) in enumerate(_CONDITION_INSTANCES):
         probs = _uniform_block_probs(p_s, d0, d1)
         report = commx.check_success_condition(eps, mu, probs, d0)
-        p_hat = ci95 = ""
+        p_hat = ci95_low = ci95_high = ""
         if report.holds:
             # With d1 = 0 the last mode is in S_0; Binomial(0, p) is 0 for any p.
             click = detection._click_probability(mu * probs)
             sampler = commx.two_block_trial_generator(d0, float(click[0]), d1, float(click[-1]))
             mc = commx.estimate_success_probability(sampler, args.trials, seed.child("mc", i))
-            p_hat, ci95 = mc.p_hat, mc.ci95
+            p_hat, ci95_low, ci95_high = mc.p_hat, mc.ci95_low, mc.ci95_high
         rows.append(
             [
                 "success-condition", i, mu, report.lhs, eps, report.holds,
-                report.stats.mu0, report.stats.mu1, report.stats.tau, p_hat, ci95,
+                report.stats.mu0, report.stats.mu1, report.stats.tau, p_hat, ci95_low, ci95_high,
             ]
         )
 

@@ -243,10 +243,20 @@ def two_block_trial_generator(
 @dataclass(frozen=True)
 class McEstimate:
     p_hat: float
-    ci95: float
+    ci95_low: float
+    ci95_high: float
     trials: int
     successes: int
     ties: int
+
+
+def _wilson95_low(k: int, n: int) -> float:
+    """Lower Wilson 95% score bound of k successes in n trials: 0 at k = 0, so the upper is 1 at k = n."""
+    z = 1.959963984540054  # the normal quantile at 0.975
+    z2 = z * z
+    centre = (k + z2 / 2.0) / (n + z2)
+    half = z * math.sqrt(k * (n - k) / n + z2 / 4.0) / (n + z2)
+    return max(0.0, centre - half)
 
 
 # Trials drawn per sampler call: 2^16 rows of two int64 counts is 1 MiB.
@@ -267,7 +277,7 @@ def estimate_success_probability(
     ``_BLOCK_TRIALS``.  A trial succeeds when :func:`decide` would say ZERO;
     ties, vacuum included, count as failures and are reported.
 
-    Returns the success frequency and its Wald 95% half-width.
+    Returns the success frequency and its Wilson 95% score interval.
     """
     trials = _index(trials, "trials", 1)
     rng = seed.rng()
@@ -281,6 +291,5 @@ def estimate_success_probability(
             raise ValueError("sampler gave negative click counts")
         tally += np.bincount(_compare(counts[:, 0], counts[:, 1]) + 1, minlength=3)
     successes, ties = int(tally[2]), int(tally[1])
-    p_hat = successes / trials
-    ci95 = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return McEstimate(p_hat=p_hat, ci95=ci95, trials=trials, successes=successes, ties=ties)
+    low, high = _wilson95_low(successes, trials), 1.0 - _wilson95_low(trials - successes, trials)
+    return McEstimate(p_hat=successes / trials, ci95_low=low, ci95_high=high, trials=trials, successes=successes, ties=ties)

@@ -9,24 +9,19 @@ Photon counts, when needed, are exact: mode k carries Poisson(|amplitude_k|^2)
 photons independently, which makes the total Poisson(|alpha|^2).  The same
 joint count law arises from a Poisson-distributed number of repetitions of the
 single-photon protocol, each repetition landing in mode k with the original
-outcome probability |lambda_k|^2; ``multinomial_oracle`` and
-``poissonized_repetition_oracle`` are the brute-force reference implementations
-of that equivalence used by the test suite.  Both count samplers return one
-record per row of a (trials, d) int64 array.
+outcome probability |lambda_k|^2; ``poissonized_repetition_oracle`` draws
+counts that way.  Both count samplers return one record per row of a
+(trials, d) int64 array.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PureState, _index, _real, _vector
-from .mapping import ModeCoherentState, _poisson_log_pmf, _xlog
-
-# Refuse to enumerate photon-number records beyond this many compositions.
-_MAX_ENUMERATION = 2_000_000
+from .mapping import ModeCoherentState
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,50 +72,6 @@ def sample_photon_numbers(
     in C order, so row t is what the t-th of ``trials`` one-row calls would draw.
     """
     return rng.poisson(c.per_mode_mean_photons, size=(_index(trials, "trials"), c.dim))
-
-
-def photon_count_probability(c: ModeCoherentState, counts) -> float:
-    """Exact probability of a full count record under the product-Poisson law."""
-    if (counts := _vector(counts, "counts")).size != c.dim:
-        raise ValueError(f"counts must have one entry per mode ({c.dim}), got {counts.size}")
-    if not np.all((counts >= 0) & (counts <= 2.0**53) & (counts == np.floor(counts))):
-        raise ValueError(f"counts must be whole numbers in 0..2**53 (exact in a double), got {counts.tolist()!r}")
-    return math.exp(sum(map(_poisson_log_pmf, counts, c.per_mode_mean_photons)))
-
-
-def _compositions(n: int, d: int):
-    """Yield all ways to place n photons into d modes, as count tuples."""
-    if d == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _compositions(n - first, d - 1):
-            yield (first,) + rest
-
-
-def multinomial_oracle(s: PureState, n: int) -> dict[tuple[int, ...], float]:
-    """Exact count distribution for n photons in the single-photon mode of s.
-
-    Returns {record: probability} over every composition of n into d modes,
-    with Pr(n_1, ..., n_d) = n! / (n_1! ... n_d!) * prod_k |lambda_k|^{2 n_k};
-    this is also the tally law of n independent canonical-basis measurements
-    of s.  Keys are plain count tuples.
-    """
-    n, d = _index(n, "n"), s.dim
-    n_records = math.comb(n + d - 1, d - 1)
-    if n_records > _MAX_ENUMERATION:
-        raise ValueError(
-            f"enumeration of {n_records} records exceeds the cap {_MAX_ENUMERATION}"
-        )
-    # ln of n!/(n_1!...n_d!) prod_k p_k^{n_k}, summed from ln n! in mode order.
-    probs = (np.abs(s.amplitudes) ** 2).tolist()
-    log_n_fact = math.lgamma(n + 1)
-    return {
-        record: math.exp(sum(
-            (_xlog(n_k, p_k) - math.lgamma(n_k + 1) for n_k, p_k in zip(record, probs)),
-            log_n_fact))
-        for record in _compositions(n, d)
-    }
 
 
 def poissonized_repetition_oracle(

@@ -85,10 +85,21 @@ MUTANTS = (
            "the Poisson deviance is summed as a series where its two terms cancel"),
     Mutant(_DETECTION, "return -np.expm1(-power)", "return -np.expm1(-power / 2)",
            "a threshold detector clicks with probability 1 - e^{-power}"),
+    Mutant(_MAPPING, "return np.abs(self.mode_amplitudes) ** 2", "return np.abs(self.mode_amplitudes) ** 2.2",
+           "mode k's mean photon number is |amplitude_k|^2"),
+    Mutant(_DETECTION, "rng.poisson(c.per_mode_mean_photons, size=", "rng.poisson(c.per_mode_mean_photons * 1.1, size=",
+           "mode k carries Poisson(|amplitude_k|^2) photons"),
+    Mutant(_DETECTION, "n = rng.poisson(mu, _index", "n = rng.poisson(1.1 * mu, _index",
+           "the repetition count is Poisson(mu)"),
+    Mutant(_DETECTION, "rng.multinomial(n, probs / probs.sum())",
+           "rng.multinomial(n, np.full(probs.size, 1.0 / probs.size))",
+           "a repetition lands in mode k with the state's probability |lambda_k|^2"),
     # Bounded-error decisions.
     Mutant(_COMMX, "ZERO = 1\n    ONE = -1", "ZERO = -1\n    ONE = 1", "Outcome is valued sign(C_0 - C_1)"),
     Mutant(_COMMX, "successes, ties = int(tally[2]), int(tally[1])",
            "successes, ties = int(tally[2] + tally[1]), int(tally[1])", "ties count as failures"),
+    Mutant(_COMMX, "centre = (k + z2 / 2.0) / (n + z2)", "centre = k / (n + z2)",
+           "the Wilson interval is centred at (k + z^2/2) / (n + z^2), not at the frequency"),
     Mutant(_COMMX, "(0.5 - p_s) * mu", "(0.45 - p_s) * mu",
            "the concentration term bounds Poisson(p_s mu) at mu / 2"),
     Mutant(_COMMX, "return 1.0 if mu <= 1.0 else 1.0 / mu", "return 1.0 if mu <= 0.0 else 1.0 / mu",

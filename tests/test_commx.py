@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.stats import binom
+from scipy.stats import binom, binomtest
 
 from cohsim import (
     ClickPattern,
@@ -427,6 +427,32 @@ def test_mc_matches_exact_win_and_tie_probabilities():
     )
     for observed, exact in ((est.p_hat, win), (est.ties / trials, tie)):
         assert abs(observed - exact) < 5 * math.sqrt(exact * (1 - exact) / trials)
+
+
+def first_k_succeed(k):
+    """A sampler whose first k trials succeed, (1, 0), and whose others tie, (0, 0)."""
+    drawn = 0
+
+    def sample(rng, size):
+        nonlocal drawn
+        counts = np.zeros((size, 2), dtype=np.int64)
+        counts[:, 0] = np.arange(drawn, drawn + size) < k
+        drawn += size
+        return counts
+
+    return sample
+
+
+@pytest.mark.parametrize("trials", [1, 2, 10, 10_000, 70_001])
+def test_mc_interval_is_wilsons(trials):
+    # Wilson's bounds match scipy's, stay in [0, 1] and keep a width at p_hat = 0 and 1.
+    for k in sorted({0, 1, trials // 2, trials - 1, trials}):
+        est = estimate_success_probability(first_k_succeed(k), trials, Seed(97))
+        assert est.successes == k
+        ci = binomtest(k, trials).proportion_ci(method="wilson")
+        assert abs(est.ci95_low - ci.low) <= 1e-12 and abs(est.ci95_high - ci.high) <= 1e-12
+        assert 0.0 <= est.ci95_low <= est.p_hat <= est.ci95_high <= 1.0
+    assert est.ci95_high == 1.0 and est.ci95_low < 1.0
 
 
 def test_two_block_generator_count_distribution():

@@ -277,7 +277,6 @@ ARGUMENTS = {
     "transmitted_info:d": Row("count", cohsim.transmitted_info),
     "effective_dimension_bound:d": Row("count", lambda d: cohsim.effective_dimension_bound(1.0, 5, d)),
     "effective_dimension_bound:delta": Row("count", lambda delta: cohsim.effective_dimension_bound(1.0, delta, 4)),
-    "multinomial_oracle:n": Row("count", lambda n: cohsim.multinomial_oracle(cohsim.uniform_state(2), n), low=0),
     "sample_photon_numbers:trials": Row("count", lambda t: cohsim.sample_photon_numbers(_STATE, _rng(), t), low=0),
     "poissonized_repetition_oracle:trials": Row("count", lambda trials: cohsim.poissonized_repetition_oracle(
         cohsim.uniform_state(2), 1.0, _rng(), trials), low=0),
@@ -327,7 +326,6 @@ ARGUMENTS = {
     "verify_message:revealed_key": Row("vector", lambda v: cohsim.verify_message(v, [1, -1], 0.5), form="bits",
                                        name="bits"),
     "ClickPattern:clicks": Row("vector", cohsim.ClickPattern, form="bits"),
-    "photon_count_probability:counts": Row("vector", lambda v: cohsim.photon_count_probability(_STATE, v)),
     "poisson_binomial_exact:probs": Row("vector", cohsim.poisson_binomial_exact),
     "lecam_bound_check:probs": Row("vector", lambda v: cohsim.lecam_bound_check(v, {0})),
     "check_success_condition:probs_qubit": Row("vector", lambda v: cohsim.check_success_condition(0.1, 60.0, v, 1)),
@@ -422,18 +420,12 @@ VECTOR_REGRESSIONS = {
     "condition-2d": (lambda: cohsim.check_success_condition(0.1, 60.0, [[0.5, 0.5], [0, 0]], 1),
                      ValueError, "probs_qubit"),
     "bits-2d": (lambda: cohsim.parse_bits([[0, 1], [1, 0]]), ValueError, "bits"),
-    "counts-2d": (lambda: cohsim.photon_count_probability(_STATE, [[1], [0]]), ValueError, "counts"),
     "state-nan": (lambda: cohsim.PureState([math.nan, 1.0]), ValueError, "amplitudes"),
     "unitary-nan": (lambda: cohsim.UnitaryOp([[math.nan]]), ValueError, "matrix"),
     "unitary-overflow": (lambda: cohsim.UnitaryOp([[1e200, 0.0], [0.0, 1.0]]), ValueError, "matrix"),
     "normalized-inf": (lambda: cohsim.normalized([math.inf, 1.0]), ValueError, "amplitudes"),
     "clicks-half": (lambda: cohsim.ClickPattern([0.5, 0.0]), ValueError, "clicks"),
     "clicks-two": (lambda: cohsim.ClickPattern([2, 0]), ValueError, "clicks"),
-    # k ln m overflowed, then lgamma raised a bare OverflowError.
-    "counts-past-double": (lambda: cohsim.photon_count_probability(
-        cohsim.ModeCoherentState([1e150]), [1e308]), ValueError, "counts"),
-    "counts-past-2**53": (lambda: cohsim.photon_count_probability(
-        cohsim.ModeCoherentState([1.0]), [2**53 + 2]), ValueError, "counts"),
     # The label reached float() and raised a bare OverflowError.
     "lecam-event-past-2**53": (lambda: cohsim.lecam_bound_check([0.1], {10**400}), ValueError, "event"),
     # Entries past 1 are refused before the sum, which would overflow here.
@@ -447,12 +439,6 @@ def test_vector_regressions(case):
     call, error, name = VECTOR_REGRESSIONS[case]
     with pytest.raises(error, match=f"^{name} must"):
         call()
-
-
-def test_counts_up_to_two_to_the_53_are_priced():
-    assert cohsim.photon_count_probability(cohsim.ModeCoherentState([1.0]), [2**53]) == 0.0
-    assert cohsim.photon_count_probability(cohsim.ModeCoherentState([1.0]), (2.0,)) == pytest.approx(
-        math.exp(-1.0) / 2)
 
 
 @pytest.mark.parametrize(

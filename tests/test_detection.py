@@ -1,10 +1,8 @@
 import math
-import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import poisson
+from scipy.stats import multinomial, poisson
 
 from cohsim import (
     ClickPattern,
@@ -13,9 +11,7 @@ from cohsim import (
     basis_state,
     click_probabilities,
     map_state,
-    multinomial_oracle,
     normalized,
-    photon_count_probability,
     poissonized_repetition_oracle,
     random_state,
     sample_click_pattern,
@@ -112,76 +108,6 @@ def test_click_pattern_counts_its_clicks():
 
 
 # ---------------------------------------------------------------------------
-# exact oracles
-# ---------------------------------------------------------------------------
-
-
-def test_multinomial_oracle_by_hand():
-    assert multinomial_oracle(uniform_state(3), 0) == {(0, 0, 0): 1.0}
-    assert multinomial_oracle(uniform_state(2), 2) == pytest.approx({(2, 0): 0.25, (1, 1): 0.5, (0, 2): 0.25})
-    dist = multinomial_oracle(basis_state(3, 2), 4)
-    assert dist[(0, 4, 0)] == 1.0
-    assert sum(dist.values()) == 1.0
-
-
-def test_multinomial_oracle_single_photon_born_rule():
-    psi = normalized([1.0, 2.0, 2.0])
-    dist = multinomial_oracle(psi, 1)
-    probs = np.abs(psi.amplitudes) ** 2
-    for k in range(3):
-        record = tuple(1 if i == k else 0 for i in range(3))
-        assert dist[record] == pytest.approx(probs[k], abs=1e-15)
-
-
-def test_multinomial_oracle_normalization():
-    rng = Seed(70).rng()
-    for _ in range(5):
-        d = int(rng.integers(2, 9))
-        psi = random_state(d, rng)
-        for n in (2, 5, 8):
-            dist = multinomial_oracle(psi, n)
-            assert abs(sum(dist.values()) - 1.0) < 1e-12
-
-
-def test_multinomial_oracle_large_n_matches_the_binomial_pmf():
-    # An exact n! coefficient times a float overflowed here; the log-space
-    # record probability must match C(n, k) / 2^n wherever that is a normal float.
-    n = 2000
-    dist = multinomial_oracle(normalized([1.0, 1.0]), n)
-    assert len(dist) == n + 1
-    for k in range(n + 1):
-        exact = float(Fraction(math.comb(n, k), 2**n))
-        if exact >= sys.float_info.min:
-            assert math.isclose(dist[(k, n - k)], exact, rel_tol=1e-9)
-        else:
-            assert dist[(k, n - k)] < 2 * sys.float_info.min
-    assert sum(dist.values()) == pytest.approx(1.0, rel=1e-9)
-
-
-def test_multinomial_oracle_cap():
-    with pytest.raises(ValueError):
-        multinomial_oracle(uniform_state(64), 32)
-
-
-def test_photon_count_probability_consistency():
-    c = map_state(normalized([1.0, 1.0j, -1.0]), 1.2)
-    means = c.per_mode_mean_photons
-    # independent expression straight from the Poisson pmf product
-    rec = (2, 0, 1)
-    direct = np.prod([poisson.pmf(n, m) for n, m in zip(rec, means)])
-    assert photon_count_probability(c, rec) == pytest.approx(float(direct), rel=1e-12)
-    zero_mode = map_state(basis_state(2, 1), 1.0)
-    assert photon_count_probability(zero_mode, (0, 1)) == 0.0
-
-
-@pytest.mark.parametrize("record", [(1.5, 0), (1, math.nan), (math.inf, 0), (-1, 2), (1, 2, 3)])
-def test_photon_count_probability_refuses_a_record_that_is_not_counts(record):
-    # (1.5, 0) was truncated to (1, 0) and priced as P(1, 0) = 0.1839
-    with pytest.raises(ValueError):
-        photon_count_probability(map_state(uniform_state(2), 1.0), record)
-
-
-# ---------------------------------------------------------------------------
 # equivalence with Poisson-many repetitions of the single-photon protocol
 # ---------------------------------------------------------------------------
 
@@ -210,22 +136,87 @@ def empirical_distribution(counts):
 
 
 def test_both_samplers_match_the_exact_law_in_total_variation():
-    psi = uniform_state(4)
+    # the exact law is the product of per-mode Poissons, from scipy; the
+    # uneven state fails a sampler that ignores the state's Born weights
     mu = 2.0
-    c = map_state(psi, math.sqrt(mu))
     trials = 300_000
+    for psi in (uniform_state(4), normalized([2.0, 1.0, 1.0, 1.0j])):
+        c = map_state(psi, math.sqrt(mu))
+        emp_direct = empirical_distribution(sample_photon_numbers(c, Seed(75).rng(), trials))
+        emp_poissonized = empirical_distribution(
+            poissonized_repetition_oracle(psi, mu, Seed(76).rng(), trials)
+        )
 
-    emp_direct = empirical_distribution(sample_photon_numbers(c, Seed(75).rng(), trials))
-    emp_poissonized = empirical_distribution(
-        poissonized_repetition_oracle(psi, mu, Seed(76).rng(), trials)
-    )
+        for emp in (emp_direct, emp_poissonized):
+            support = set(emp)
+            exact = {rec: float(np.prod(poisson.pmf(rec, c.per_mode_mean_photons))) for rec in support}
+            tv = 0.5 * sum(abs(emp[rec] - exact[rec]) for rec in support)
+            tv += 0.5 * (1.0 - sum(exact.values()))  # mass outside the observed support
+            assert tv < 0.01
 
-    for emp in (emp_direct, emp_poissonized):
-        support = set(emp)
-        exact = {rec: photon_count_probability(c, rec) for rec in support}
-        tv = 0.5 * sum(abs(emp[rec] - exact[rec]) for rec in support)
-        tv += 0.5 * (1.0 - sum(exact.values()))  # mass outside the observed support
-        assert tv < 0.01
+
+# The marginal and conditional laws of both samplers, each against scipy.  The
+# uneven states fail a sampler that ignores the Born weights; the basis state
+# has empty modes, which must never count a photon.
+LAW_STATES = {
+    "uniform-2": uniform_state(2),
+    "uniform-4": uniform_state(4),
+    "uneven-4": normalized([2.0, 1.0, 1.0, 1.0j]),
+    "uneven-3": normalized([1.0, 2.0, 2.0]),
+    "signed-2": normalized([1.0, -2.0]),
+    "basis-3": basis_state(3, 2),
+}
+SAMPLERS = {
+    "direct": lambda psi, mu, rng, trials: sample_photon_numbers(map_state(psi, math.sqrt(mu)), rng, trials),
+    "poissonized": poissonized_repetition_oracle,
+}
+LAW_MU = 2.0
+LAW_TRIALS = 100_000
+# An empirical law over K outcomes from m draws sits about sqrt(K / (2 pi m)) in
+# total variation from the exact one; each bound is several times that.
+_law_cases = pytest.mark.parametrize(
+    "sampler, state", [(s, k) for s in SAMPLERS for k in LAW_STATES])
+
+
+def _draw(sampler, state, seed):
+    psi = LAW_STATES[state]
+    return psi, SAMPLERS[sampler](psi, LAW_MU, Seed(seed).child(sampler, state).rng(), LAW_TRIALS)
+
+
+def _tv(empirical, exact):
+    """Total variation between laws on the same outcomes, the exact law's unseen mass counted whole."""
+    return 0.5 * float(np.abs(empirical - exact).sum() + (1.0 - exact.sum()))
+
+
+@_law_cases
+def test_each_mode_counts_poisson_of_its_own_mean(sampler, state):
+    psi, counts = _draw(sampler, state, 90)
+    means = LAW_MU * np.abs(psi.amplitudes) ** 2
+    assert counts.shape == (LAW_TRIALS, psi.dim) and counts.dtype == np.int64
+    assert not counts[:, means == 0.0].any()
+    for k in range(psi.dim):
+        empirical = np.bincount(counts[:, k]) / LAW_TRIALS
+        assert _tv(empirical, poisson.pmf(np.arange(empirical.size), means[k])) < 0.01
+
+
+@_law_cases
+def test_the_total_count_is_poisson_of_mu(sampler, state):
+    _, counts = _draw(sampler, state, 91)
+    empirical = np.bincount(counts.sum(axis=1)) / LAW_TRIALS
+    assert _tv(empirical, poisson.pmf(np.arange(empirical.size), LAW_MU)) < 0.01
+
+
+@_law_cases
+def test_given_n_photons_the_record_is_multinomial_in_the_born_weights(sampler, state):
+    # at n = 1 this is the single-photon Born rule
+    psi, counts = _draw(sampler, state, 92)
+    born = np.abs(psi.amplitudes) ** 2
+    totals = counts.sum(axis=1)
+    for n in (1, 2, 3):
+        emp = empirical_distribution(counts[totals == n])
+        records = np.array(list(emp))
+        exact = multinomial.pmf(records, n, born)
+        assert _tv(np.array(list(emp.values())), exact) < 0.03
 
 
 # ---------------------------------------------------------------------------
