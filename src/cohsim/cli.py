@@ -93,23 +93,28 @@ def _cmd_overlap_sweep(args):
     return ["mu", "delta", "delta_alpha"], rows, params
 
 
+def _table(rows: list[dict]) -> tuple[list[str], list[list]]:
+    """Column names and cell lists of rows built under their column names, all in one key order."""
+    return list(rows[0]), [list(row.values()) for row in rows]
+
+
+def _dim_row(mu: float, delta: int, d: int) -> dict:
+    """One ``dim-bound`` row; thm-check's dimension check reads its ratio."""
+    bound = mapping.effective_dimension_bound(mu, delta, d)
+    return {
+        "d": d, "mu": mu, "delta": delta, "log2_d_alpha_upper": bound.log2_d_alpha_upper,
+        # log2 d = 0 at d = 1 leaves the ratio undefined: a blank cell.
+        "ratio_vs_log2_d": bound.log2_d_alpha_upper / math.log2(d) if d > 1 else "",
+        "tail_probability_upper": bound.tail_probability_upper,
+        "d_alpha_upper": "" if bound.d_alpha_upper is None else bound.d_alpha_upper,
+    }
+
+
 def _cmd_dim_bound(args):
     dims = _parse_list(args.d, "--d", int)
-    mu = _check_non_negative(args.mu, "--mu")
-    rows = []
-    for d in dims:
-        bound = mapping.effective_dimension_bound(mu, args.delta, d)
-        # log2 d = 0 at d = 1 leaves the ratio undefined: a blank cell.
-        ratio = bound.log2_d_alpha_upper / math.log2(d) if d > 1 else ""
-        exact = "" if bound.d_alpha_upper is None else bound.d_alpha_upper
-        rows.append([d, args.mu, args.delta, bound.log2_d_alpha_upper, ratio,
-                     bound.tail_probability_upper, exact])
+    _check_non_negative(args.mu, "--mu")
     params = {"mu": args.mu, "delta": args.delta, "d": args.d}
-    columns = [
-        "d", "mu", "delta", "log2_d_alpha_upper", "ratio_vs_log2_d",
-        "tail_probability_upper", "d_alpha_upper",
-    ]
-    return columns, rows, params
+    return *_table([_dim_row(args.mu, args.delta, d) for d in dims]), params
 
 
 def _cmd_hidden_matching(args):
@@ -131,30 +136,26 @@ def _cmd_hidden_matching(args):
         trials=_index(args.trials, "--trials", 1),
         seed=Seed(args.seed),
     )
-    row = [
-        n,
-        stats.x,
-        stats.matching,
-        stats.alpha_sq,
-        stats.trials,
-        stats.conclusive_correct,
-        stats.conclusive_wrong,
-        stats.inconclusive,
-        stats.inconclusive_rate,
-        stats.inconclusive_expected,
-    ]
+    row = {
+        "n": n, "x": stats.x, "matching": stats.matching, "alpha_sq": stats.alpha_sq,
+        "trials": stats.trials, "correct": stats.conclusive_correct, "wrong": stats.conclusive_wrong,
+        "inconclusive": stats.inconclusive, "inconclusive_rate": stats.inconclusive_rate,
+        "inconclusive_expected": stats.inconclusive_expected,
+    }
     params = {"n": n, "alpha_sq": args.alpha_sq, "trials": args.trials}
-    columns = [
-        "n", "x", "matching", "alpha_sq", "trials", "correct", "wrong",
-        "inconclusive", "inconclusive_rate", "inconclusive_expected",
-    ]
-    return columns, [row], params
+    return *_table([row]), params
 
 
 _THM_COLUMNS = [
     "check", "instance", "mu", "lhs", "threshold", "holds",
     "mu0", "mu1", "tau", "p_hat", "ci95_low", "ci95_high",
 ]
+
+
+def _thm_row(**cells) -> list:
+    """One thm-check row in column order; a cell the check does not report is blank."""
+    return [cells.get(name, "") for name in _THM_COLUMNS]
+
 
 # (p_s, epsilon, mu, d0, d1): uniform qubit probabilities within each block.
 _CONDITION_INSTANCES = [
@@ -163,10 +164,6 @@ _CONDITION_INSTANCES = [
     (1.00, 0.1, 40.0, 40_000, 0),
     (0.75, 0.1, 2.0, 50, 50),      # fails the condition: mu far too small
 ]
-
-
-def _uniform_block_probs(p_s: float, d0: int, d1: int) -> np.ndarray:
-    return np.repeat([p_s / d0, (1.0 - p_s) / max(d1, 1)], [d0, d1])
 
 
 def _cmd_thm_check(args):
@@ -178,11 +175,9 @@ def _cmd_thm_check(args):
     # Effective-dimension accounting: log2 of the bound stays proportional
     # to log2 d across a doubling sweep.
     for i, d in enumerate([2**k for k in range(4, 15)]):
-        bound = mapping.effective_dimension_bound(1.0, 5, d)
-        ratio = bound.log2_d_alpha_upper / math.log2(d)
-        rows.append(
-            ["dim-bound", i, 1.0, ratio, 6.5, ratio <= 6.5, "", "", "", "", "", ""]
-        )
+        ratio = _dim_row(1.0, 5, d)["ratio_vs_log2_d"]
+        rows.append(_thm_row(check="dim-bound", instance=i, mu=1.0, lhs=ratio, threshold=6.5,
+                             holds=ratio <= 6.5))
 
     # Poisson-approximation bound on random Poisson-binomial instances.
     rng = seed.child("lecam").rng()
@@ -191,32 +186,24 @@ def _cmd_thm_check(args):
         probs = rng.uniform(0.0, 0.3, n)
         event = set(np.flatnonzero(rng.random(n + 1) < 0.5).tolist())
         check = commx.lecam_bound_check(probs, event)
-        rows.append(
-            [
-                "poisson-approx", i, float(probs.sum()), check.lhs, check.bound,
-                check.holds, "", "", "", "", "", "",
-            ]
-        )
+        rows.append(_thm_row(check="poisson-approx", instance=i, mu=float(probs.sum()), lhs=check.lhs,
+                             threshold=check.bound, holds=check.holds))
 
     # Bounded-error success condition plus Monte Carlo cross-validation: the
     # click counts of a uniform block are Binomial, so each trial is one
     # sampled (C_0, C_1) pair, drawn in blocks from the stream ("mc", i).
     for i, (p_s, eps, mu, d0, d1) in enumerate(_CONDITION_INSTANCES):
-        probs = _uniform_block_probs(p_s, d0, d1)
-        report = commx.check_success_condition(eps, mu, probs, d0)
-        p_hat = ci95_low = ci95_high = ""
+        levels = np.array([p_s / d0, (1.0 - p_s) / max(d1, 1)])
+        report = commx.check_success_condition(eps, mu, np.repeat(levels, [d0, d1]), d0)
+        mc = {}
         if report.holds:
-            # With d1 = 0 the last mode is in S_0; Binomial(0, p) is 0 for any p.
-            click = detection._click_probability(mu * probs)
-            sampler = commx.two_block_trial_generator(d0, float(click[0]), d1, float(click[-1]))
-            mc = commx.estimate_success_probability(sampler, args.trials, seed.child("mc", i))
-            p_hat, ci95_low, ci95_high = mc.p_hat, mc.ci95_low, mc.ci95_high
-        rows.append(
-            [
-                "success-condition", i, mu, report.lhs, eps, report.holds,
-                report.stats.mu0, report.stats.mu1, report.stats.tau, p_hat, ci95_low, ci95_high,
-            ]
-        )
+            click_0, click_1 = detection._click_probability(mu * levels).tolist()
+            sampler = commx.two_block_trial_generator(d0, click_0, d1, click_1)
+            est = commx.estimate_success_probability(sampler, args.trials, seed.child("mc", i))
+            mc = {"p_hat": est.p_hat, "ci95_low": est.ci95_low, "ci95_high": est.ci95_high}
+        stats = report.stats
+        rows.append(_thm_row(check="success-condition", instance=i, mu=mu, lhs=report.lhs, threshold=eps,
+                             holds=report.holds, mu0=stats.mu0, mu1=stats.mu1, tau=stats.tau, **mc))
 
     params = {"lecam_instances": args.lecam_instances, "trials": args.trials}
     return _THM_COLUMNS, rows, params
@@ -247,19 +234,14 @@ def _cmd_qds(args):
     rows = []
     for run in range(trials):
         transcript = qds.run_qds(config, seed.child(run))
-        for record in transcript.records:
+        bob, charlie = ("" if v is None else v.accept for v in (transcript.bob_verdict, transcript.charlie_verdict))
+        summary = qds.StageRecord("summary", {
+            "aborted": transcript.aborted, "bob_accepts": bob, "charlie_accepts": charlie,
+            "accepted_by_both": transcript.accepted_by_both,
+        })
+        for record in (*transcript.records, summary):
             for key, value in record.data.items():
                 rows.append([run, record.stage, key, value])
-        rows.append([run, "summary", "aborted", transcript.aborted])
-        rows.append(
-            [run, "summary", "bob_accepts",
-             transcript.bob_verdict.accept if transcript.bob_verdict else ""]
-        )
-        rows.append(
-            [run, "summary", "charlie_accepts",
-             transcript.charlie_verdict.accept if transcript.charlie_verdict else ""]
-        )
-        rows.append([run, "summary", "accepted_by_both", transcript.accepted_by_both])
     params = {"config": args.config, "trials": trials, "seed": seed_value}
     return ["run", "stage", "field", "value"], rows, params
 

@@ -35,13 +35,18 @@ class Matching:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        for pair in self.pairs:
+            if not hasattr(pair, "__len__"):
+                raise TypeError(f"pairs entries must be sequences of two labels, got {pair!r}")
+            if len(pair) != 2:
+                raise ValueError(f"pairs entries must hold two labels, got {pair!r}")
         canon = tuple(sorted(
             tuple(sorted((_index(i, "label", 1), _index(j, "label", 1)))) for i, j in self.pairs
         ))
         labels = [k for pair in canon for k in pair]
         n = len(labels)
-        if n == 0 or n % 2 != 0:
-            raise ValueError("matching must cover an even, positive number of modes")
+        if n == 0:
+            raise ValueError("pairs must hold at least one pair")
         if sorted(labels) != list(range(1, n + 1)):
             raise ValueError(f"pairs must cover each label in 1..{n} exactly once")
         object.__setattr__(self, "pairs", canon)

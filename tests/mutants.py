@@ -113,6 +113,8 @@ MUTANTS = (
            'trials, alpha = _index(trials, "trials", 1)', "run_experiment checks n before it compares a given matching"),
     Mutant(_HM, 'if (n := _index(n, "n", 2)) % 2:', 'if (n := _index(n, "n", 2)) % 1:',
            "a perfect matching's n is even"),
+    Mutant(_HM, "for pair in self.pairs:", "for pair in ():",
+           "Matching refuses an entry that is not a pair of labels, naming pairs"),
     Mutant(_HM, "right = bits[i] ^ bits[j] == np.asarray(parities)",
            "right = bits[i] ^ bits[j] != np.asarray(parities)", "an answer is right when its parity is x_i XOR x_j"),
     # QDS: optics and detection.
@@ -170,6 +172,10 @@ MUTANTS = (
            "a qds config's trials is a positive integer, or exit 1"),
     Mutant(_CLI, "except (ValueError, OSError) as exc:", "except ValueError as exc:",
            "an unreadable or unwritable file is exit 1, not 2"),
+    Mutant(_CLI, 'return [cells.get(name, "") for name in _THM_COLUMNS]', "return [cells.get(name) for name in _THM_COLUMNS]",
+           "a cell a thm-check check does not report is the empty string"),
+    Mutant(_CLI, '("" if v is None else v.accept for v', "(None if v is None else v.accept for v",
+           "a qds run without a verdict leaves its verdict cells as the empty string"),
     Mutant(_CLI, "if (value := _real(value, flag)) < 0.0:", "if (value := _real(value, flag)) <= 0.0:",
            "a zero --mu or --alpha-sq is valid"),
 )
@@ -202,6 +208,7 @@ def _tier1(copy: Path, env: dict, timeout: float | None) -> tuple[int | None, li
 
 
 def main() -> int:
+    sys.stdout.reconfigure(line_buffering=True)  # each verdict shows as it lands, also when redirected
     stale_entries = [(m, why) for m in MUTANTS if (why := stale(m))]
     for mutant, why in stale_entries:
         print(f"STALE: {mutant.claim}: {why}")

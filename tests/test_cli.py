@@ -129,13 +129,28 @@ def test_cli_import_leaves_scipy_csv_and_traceback_out():
 
 
 def test_json_output_validates_against_shipped_schema(capsys, tmp_path):
+    # Every command, with blank cells: the dim-bound ratio at d = 1, the Monte Carlo
+    # cells of thm-check's failing instance, and the verdicts of a qds run that aborts.
+    honest, aborting = tmp_path / "honest", tmp_path / "aborting"
+    honest.mkdir()
+    aborting.mkdir()
     out_file = tmp_path / "out.json"
-    for argv in (["overlap-sweep", "--mu", "1"], ["qds", "--config", str(write_config(tmp_path, trials=1))]):
+    for argv in (
+        ["overlap-sweep", "--mu", "1"],
+        ["dim-bound", "--d", "1,2,16"],
+        ["hidden-matching", "--n", "8", "--trials", "100", "--seed", "1"],
+        ["thm-check", "--lecam-instances", "3", "--trials", "200", "--seed", "5"],
+        ["qds", "--config", str(write_config(honest, trials=1))],
+        ["qds", "--config", str(write_config(aborting, n=64, alpha_sq=36.0, tamper_model="repudiation",
+                                             tamper_fraction=0.2, trials=1))],
+    ):
         code, _, _ = run_cli(capsys, *argv, "--format", "json", "--out", str(out_file))
         assert code == 0
         doc = json.loads(out_file.read_text())
         jsonschema.validate(doc, load_schema())
         assert doc["command"] == argv[0]
+    summary = {field: value for _, stage, field, value in doc["rows"] if stage == "summary"}
+    assert summary == {"aborted": True, "bob_accepts": "", "charlie_accepts": "", "accepted_by_both": False}
 
 
 def test_hidden_matching_reference_instance(capsys):
@@ -168,7 +183,11 @@ def test_thm_check_all_bounds_hold(capsys):
             # the condition guarantees success probability 1 - lhs, which the interval must reach
             assert float(row[idx["ci95_high"]]) >= 1 - float(row[idx["lhs"]])
     assert any(r[idx["check"]] == "success-condition" and r[idx["holds"]] == "true" for r in rows)
-    assert any(r[idx["check"]] == "success-condition" and r[idx["holds"]] == "false" for r in rows)
+    failing = [r for r in rows if r[idx["check"]] == "success-condition" and r[idx["holds"]] == "false"]
+    assert failing
+    # No Monte Carlo runs where the condition fails: its cells are blank.
+    for row in failing:
+        assert [row[idx[name]] for name in ("p_hat", "ci95_low", "ci95_high")] == ["", "", ""]
 
 
 def write_config(tmp_path, **overrides):
@@ -236,8 +255,8 @@ def test_qds_power_per_mode_past_double_resolution_exits_one(tmp_path):
     src = str(Path(cohsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     result = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cohsim.cli",
-         "qds", "--config", str(path), "--format", "json"],
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+         "-m", "cohsim.cli", "qds", "--config", str(path), "--format", "json"],
         env=env, capture_output=True, text=True,
     )
     assert result.returncode == 1
@@ -361,7 +380,8 @@ def test_fixed_seed_output_is_byte_identical_across_processes(tmp_path, command)
             PYTHONHASHSEED=hash_seed,
         )
         result = subprocess.run(
-            [sys.executable, "-m", "cohsim.cli", *argv, "--format", "json"],
+            [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+             "-m", "cohsim.cli", *argv, "--format", "json"],
             env=env, capture_output=True, check=True,
         )
         outputs.append(result.stdout)
@@ -519,8 +539,8 @@ def test_dim_bound_at_huge_mu_exits_promptly_with_blank_exact_cells():
     src = str(Path(cohsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     result = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cohsim.cli",
-         "dim-bound", "--mu", "1e300", "--format", "json"],
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+         "-m", "cohsim.cli", "dim-bound", "--mu", "1e300", "--format", "json"],
         env=env, capture_output=True, text=True, timeout=20,
     )
     assert result.returncode == 0, result.stderr

@@ -37,6 +37,12 @@ def test_matching_validation():
         Matching(((1, 3),))  # label 2 missing
     with pytest.raises(ValueError):
         Matching(())
+    # Each entry's shape is checked before it is unpacked, naming the argument.
+    for pairs in (((1, 2, 3),), ((1,),)):
+        with pytest.raises(ValueError, match="pairs"):
+            Matching(pairs)
+    with pytest.raises(TypeError, match="pairs"):
+        Matching((1, 2))
 
 
 # int() once truncated both onto the matching 1-2.
