@@ -65,7 +65,8 @@ def _vector(values, what: str, dtype=np.float64, ndim: int = 1) -> np.ndarray:
     """``values`` as a new non-empty ``dtype`` array with ``ndim`` axes; entries must be numbers.
 
     Bools pass only as bits, into a bool ``dtype`` where every entry must be 0
-    or 1; complex entries only into a complex one.  Domain checks are the caller's.
+    or 1; complex entries only into a complex one; into an integer one only
+    integers that fit it.  Domain checks are the caller's.
     numpy reads a bool among numbers as 1, so input not in an ndarray is scanned per entry.
     """
     if type(values) is np.ndarray and values.dtype == dtype and values.ndim == ndim and values.size:
@@ -76,9 +77,11 @@ def _vector(values, what: str, dtype=np.float64, ndim: int = 1) -> np.ndarray:
         arr = np.asarray(arr.tolist()) if arr.dtype == object else arr  # None stays an object
     except ValueError:  # ragged nesting
         raise ValueError(f"{what} must be a non-empty {shape}, got rows of unequal length") from None
-    noun = {"b": "bools or 0/1 numbers", "f": "real numbers", "c": "numbers"}[kind]
-    if arr.dtype.kind not in {"b": "biuf", "f": "iuf", "c": "iufc"}[kind]:
-        raise TypeError(f"{what} must hold {noun}, got {arr.dtype} entries")
+    noun = {"b": "bools or 0/1 numbers", "i": "integers", "f": "real numbers", "c": "numbers"}[kind]
+    if arr.size and arr.dtype.kind not in {"b": "biuf", "i": "iu", "f": "iuf", "c": "iufc"}[kind]:
+        raise TypeError(f"{what} must hold {noun}, got {arr.dtype} entries")  # an empty array has no entry type
+    if kind == "i" and arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(dtype).max:
+        raise TypeError(f"{what} must hold {noun} of at most {np.iinfo(dtype).max}, got {arr.max()}")
     if kind != "b" and not isinstance(values, np.ndarray) and not {bool, np.bool_}.isdisjoint(
         map(type, np.asarray(values, dtype=object).flat)
     ):
@@ -111,6 +114,8 @@ class Seed:
     def __post_init__(self) -> None:
         if (master := _index(self.master_seed, "master_seed")) >= 2**64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+        if not isinstance(self.path, tuple):  # a str or a dict would give one key per character or key
+            raise TypeError(f"path must be a tuple of seed keys, got {self.path!r}")
         path = tuple(k if isinstance(k, str) else _index(k, "seed key") for k in self.path)
         object.__setattr__(self, "master_seed", master)
         object.__setattr__(self, "path", path)

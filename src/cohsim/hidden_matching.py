@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Seed, UnitaryOp, _complex, _index
+from .core import Seed, UnitaryOp, _complex, _index, _vector
 from .detection import sample_click_pattern
 from .mapping import ModeCoherentState, beam_splitter, parse_bits, phase_encoded_state
 
@@ -35,21 +35,14 @@ class Matching:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        for pair in self.pairs:
-            if not hasattr(pair, "__len__"):
-                raise TypeError(f"pairs entries must be sequences of two labels, got {pair!r}")
-            if len(pair) != 2:
-                raise ValueError(f"pairs entries must hold two labels, got {pair!r}")
-        canon = tuple(sorted(
-            tuple(sorted((_index(i, "label", 1), _index(j, "label", 1)))) for i, j in self.pairs
-        ))
-        labels = [k for pair in canon for k in pair]
-        n = len(labels)
-        if n == 0:
-            raise ValueError("pairs must hold at least one pair")
-        if sorted(labels) != list(range(1, n + 1)):
-            raise ValueError(f"pairs must cover each label in 1..{n} exactly once")
-        object.__setattr__(self, "pairs", canon)
+        labels = _vector(self.pairs, "pairs", np.int64, ndim=2)
+        if labels.shape[1] != 2:
+            raise ValueError(f"pairs must hold two labels each, got shape {labels.shape}")
+        labels.sort(axis=1)
+        labels = labels[np.argsort(labels[:, 0])]
+        if not np.array_equal(np.sort(labels, axis=None), np.arange(1, labels.size + 1)):
+            raise ValueError(f"pairs must cover each label in 1..{labels.size} exactly once")
+        object.__setattr__(self, "pairs", tuple(map(tuple, labels.tolist())))
 
     @property
     def n(self) -> int:
@@ -57,17 +50,11 @@ class Matching:
 
     @classmethod
     def parse(cls, text: str) -> "Matching":
-        """Parse the wire format 'i-j,i-j,...', e.g. '1-6,2-5,3-4'."""
-        pairs = []
-        for chunk in text.split(","):
-            left, sep, right = chunk.partition("-")
-            if not sep:
-                raise ValueError(f"malformed pair {chunk!r}; expected 'i-j'")
-            try:
-                pairs.append((int(left), int(right)))
-            except ValueError as exc:
-                raise ValueError(f"malformed pair {chunk!r}: {exc}") from exc
-        return cls(tuple(pairs))
+        """Parse the wire format 'i-j,i-j,...', e.g. '1-6,2-5,3-4'; any refusal is a ValueError."""
+        try:
+            return cls(tuple(tuple(map(int, chunk.split("-"))) for chunk in text.split(",")))
+        except (TypeError, ValueError) as exc:  # a label past int64 is a TypeError
+            raise ValueError(f"malformed matching {text!r}: {exc}") from exc
 
     def format(self) -> str:
         return ",".join(f"{i}-{j}" for i, j in self.pairs)
@@ -82,10 +69,7 @@ def _mode_count(n) -> int:
 
 def random_matching(n: int, rng: np.random.Generator) -> Matching:
     """Uniformly random perfect matching on {1..n}."""
-    n = _mode_count(n)
-    perm = rng.permutation(n) + 1
-    pairs = tuple((int(perm[2 * t]), int(perm[2 * t + 1])) for t in range(n // 2))
-    return Matching(pairs)
+    return Matching(rng.permutation(_mode_count(n)).reshape(-1, 2) + 1)
 
 
 def _ports(m: Matching, amps) -> np.ndarray:

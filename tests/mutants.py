@@ -15,8 +15,9 @@ Run from anywhere, with no flags::
 
 It copies the checkout to a temporary directory, checks that the unmutated
 copy passes tier-1 with ``cohsim`` imported from the copy's ``src/``, then
-applies one entry at a time and runs the full tier-1 suite in the copy.  It
-prints the tests that kill each mutant, or "survived", and exits 1 on a
+applies one entry at a time and runs tier-1 in the copy, stopping at the
+first failing test (``-x``): a mutant is killed as soon as one test fails.
+It prints the test that kills each mutant, or "survived", and exits 1 on a
 survivor or on a stale entry.
 
 Recorded mutants that no longer apply to today's code, and why:
@@ -76,6 +77,8 @@ MUTANTS = (
     Mutant(_CORE, ">= 2**64:", "> 2**64:", "master_seed fits in an unsigned 64-bit integer"),
     Mutant(_CORE, 'tag, data = 1, key.encode("utf-8")', 'tag, data = 0, key.encode("utf-8")',
            "str and int seed keys carry distinct type tags"),
+    Mutant(_CORE, "if not isinstance(self.path, tuple):", "if False:",
+           "a Seed path that is not a tuple is refused, not split into keys"),
     # Mapping and detection.
     Mutant(_MAPPING, "if not math.isfinite(power := _power(amps)):", "if math.isnan(power := _power(amps)):",
            "a mode state of infinite power is refused"),
@@ -113,8 +116,14 @@ MUTANTS = (
            'trials, alpha = _index(trials, "trials", 1)', "run_experiment checks n before it compares a given matching"),
     Mutant(_HM, 'if (n := _index(n, "n", 2)) % 2:', 'if (n := _index(n, "n", 2)) % 1:',
            "a perfect matching's n is even"),
-    Mutant(_HM, "for pair in self.pairs:", "for pair in ():",
-           "Matching refuses an entry that is not a pair of labels, naming pairs"),
+    Mutant(_CORE, '"i": "iu"', '"i": "iuf"',
+           "Matching refuses an entry that is not a pair of integer labels, naming pairs"),
+    Mutant(_CORE, 'if kind == "i" and arr.dtype.kind == "u"', 'if False and arr.dtype.kind == "u"',
+           "a label past int64 is refused, not wrapped"),
+    Mutant(_HM, "if labels.shape[1] != 2:", "if False:",
+           "Matching refuses an entry of more or fewer than two labels"),
+    Mutant(_HM, "if not np.array_equal(np.sort(labels, axis=None), np.arange(1, labels.size + 1)):", "if False:",
+           "Matching refuses a missing or reused label"),
     Mutant(_HM, "right = bits[i] ^ bits[j] == np.asarray(parities)",
            "right = bits[i] ^ bits[j] != np.asarray(parities)", "an answer is right when its parity is x_i XOR x_j"),
     # QDS: optics and detection.
@@ -192,9 +201,9 @@ def stale(mutant: Mutant, root: Path = ROOT) -> str | None:
     return None if count == 1 else f"old text occurs {count} times in {mutant.path}"
 
 
-def _tier1(copy: Path, env: dict, timeout: float | None) -> tuple[int | None, list[str], str]:
+def _tier1(copy: Path, env: dict, timeout: float | None, *flags: str) -> tuple[int | None, list[str], str]:
     """Exit code (None on timeout), the failing test ids, and the summary line of one tier-1 run."""
-    proc = subprocess.Popen([sys.executable, *_TIER1], cwd=copy, env=env, text=True,
+    proc = subprocess.Popen([sys.executable, *_TIER1, *flags], cwd=copy, env=env, text=True,
                             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, start_new_session=True)
     try:
         out, _ = proc.communicate(timeout=timeout)
@@ -238,7 +247,7 @@ def main() -> int:
             original = target.read_text(encoding="utf-8")
             target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
             try:
-                code, failed, summary = _tier1(copy, env, timeout)
+                code, failed, summary = _tier1(copy, env, timeout, "-x")
             finally:
                 target.write_text(original, encoding="utf-8")
             print(f"[{k}/{len(MUTANTS)}] {Path(mutant.path).name}: {mutant.claim}")
@@ -248,7 +257,7 @@ def main() -> int:
             elif code is None or not failed:
                 print(f"  killed: {summary}")
             else:
-                print(f"  killed by {len(failed)} ({summary}):", *failed, sep="\n    ")
+                print(f"  killed by {failed[0]} ({summary})")
         killed = len(MUTANTS) - survivors
         print(f"{killed} of {len(MUTANTS)} mutants killed, {survivors} survived; clean run {clean_s:.1f} s")
         return 1 if survivors else 0

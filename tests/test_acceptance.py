@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  Every expected value is either trivial, taken from an
 independent reference (scipy.stats's exact laws, or a small brute force
-coded here), or cross-checked analytically in the module test suites.
+coded in the tests), or cross-checked analytically in the module test suites.
 """
 
 import itertools
@@ -33,6 +33,7 @@ from cohsim import (
     solve_alpha_for_overlap,
     two_block_trial_generator,
 )
+from test_hidden_matching import all_matchings
 
 
 def report(criterion: int, message: str) -> None:
@@ -212,17 +213,6 @@ def test_criterion_5_success_condition_soundness():
 # ---------------------------------------------------------------------------
 # 6. hidden matching
 # ---------------------------------------------------------------------------
-
-
-def all_matchings(labels):
-    if not labels:
-        yield ()
-        return
-    first, rest = labels[0], labels[1:]
-    for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1 :]
-        for sub in all_matchings(remaining):
-            yield ((first, partner),) + sub
 
 
 def test_criterion_6_hidden_matching():

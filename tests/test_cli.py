@@ -106,6 +106,8 @@ def test_dim_bound_json_is_strict_at_d_one(capsys):
         (("overlap-sweep", "--delta", "0.2,1.4"), "delta"),
         (("dim-bound", "--mu", "1e308", "--delta", str(10**308)), "double range"),
         (("hidden-matching", "--matching", "1-2,3", "--seed", "1"), "pair"),
+        *((("hidden-matching", "--matching", text, "--seed", "1"), "matching")
+          for text in ("1-99999999999999999999", "1-2-3", "0-1", "1-2,2-3", "x-4")),
         (("hidden-matching", "--n", "4"), "--seed"),
         (("frobnicate",), "frobnicate"),
     ],

@@ -431,6 +431,20 @@ VECTOR_REGRESSIONS = {
     # Entries past 1 are refused before the sum, which would overflow here.
     "condition-overflowing-sum": (lambda: cohsim.check_success_condition(0.1, 60.0, [1e308, 1e308], 1),
                                   ValueError, "probs_qubit"),
+    # A path was iterated: "ab" was the path ("a", "b"), a dict gave its keys,
+    # and 5 or None failed with "'int' object is not iterable".
+    **{f"seed-path-{''.join(repr(path).split())}": (lambda path=path: Seed(1, path), TypeError, "path")
+       for path in ("ab", {"a": 1}, 5, None)},
+    # A per-pair loop took a dict or bytes entry as the pair 1-2, and unpacked
+    # 5, None or a wrong-length entry in Python's own terms.  A label past int64
+    # reaches numpy as float64 or uint64 and is refused, never wrapped.
+    **{f"matching-{''.join(repr(pairs).split())}": (lambda pairs=pairs: cohsim.Matching(pairs), error, "pairs")
+       for pairs, error in [
+           (5, ValueError), (None, TypeError), ((), ValueError), ((1, 2), ValueError),
+           (((1, 2, 3),), ValueError), (((1,),), ValueError), (({1: 0, 2: 0},), TypeError),
+           ((b"\x01\x02",), TypeError), (((True, 2),), TypeError), (((1.7, 2.2),), TypeError),
+           (((2**63, 1),), TypeError), (((2**64 - 1, 2**64 - 2),), TypeError),
+       ]},
 }
 
 
